@@ -2,7 +2,8 @@
 
 A complex is stored through its covering relation: each cell lists the ids
 of the cells one dimension down on its boundary sphere. Full closures,
-per-dimension indexes and side degrees are computed once at construction;
+per-dimension indexes and the coface map (the same relation read upward)
+are computed once at construction;
 after that a Complex never changes, so instances are safe to share and
 every query gives the same answer twice.
 
@@ -73,6 +74,10 @@ def cell(id: str, dim: int, boundary: Iterable[str] = ()) -> Cell:
 class Complex:
     """Immutable face poset with cached derived structure.
 
+    Construction inverts the boundary relation into a coface map (cell
+    -> the cells one dimension up, sorted); side degrees, purity,
+    :meth:`facets_over` and :func:`corner_link` read it, never scanning.
+
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
     broken by lexicographic id order, so all outputs are deterministic.
@@ -83,8 +88,8 @@ class Complex:
         "_cells",
         "_by_dim",
         "_closure",
+        "_cofaces",
         "_side_degrees",
-        "_under_facet",
         "_dual",
         "_components",
     )
@@ -127,33 +132,28 @@ class Complex:
 
         n = ordered[-1].dim
         by_dim: list[list[str]] = [[] for _ in range(n + 1)]
+        # closures bottom-up, as boundary members always have smaller dim;
+        # the coface lists fill in (dim, id) order
+        closure: dict[str, frozenset[str]] = {}
+        up: dict[str, list[str]] = {}
         for c in ordered:
             by_dim[c.dim].append(c.id)
-
-        # closures bottom-up; boundary members always have smaller dim
-        closure: dict[str, frozenset[str]] = {}
-        for c in ordered:
-            if c.dim == 0:
-                closure[c.id] = frozenset((c.id,))
-            else:
-                acc: set[str] = {c.id}
-                for b in c.boundary:
-                    acc |= closure[b]
-                closure[c.id] = frozenset(acc)
-
-        degrees: Counter[str] = Counter()
-        under: set[str] = set()
-        for f in by_dim[n]:
-            under |= closure[f]
-            degrees.update(table[f].boundary)
-        side_degrees = {s: degrees.get(s, 0) for s in by_dim[n - 1]} if n >= 1 else {}
+            acc = {c.id}
+            for b in c.boundary:
+                acc |= closure[b]
+                up.setdefault(b, []).append(c.id)
+            closure[c.id] = frozenset(acc)
+        cofaces = {b: tuple(ids) for b, ids in up.items()}
+        side_degrees = (
+            {s: len(cofaces.get(s, ())) for s in by_dim[n - 1]} if n >= 1 else {}
+        )
 
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_cells", table)
         object.__setattr__(self, "_by_dim", tuple(tuple(ids) for ids in by_dim))
         object.__setattr__(self, "_closure", closure)
+        object.__setattr__(self, "_cofaces", cofaces)
         object.__setattr__(self, "_side_degrees", side_degrees)
-        object.__setattr__(self, "_under_facet", frozenset(under))
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_components", None)
 
@@ -215,13 +215,12 @@ class Complex:
 
     @property
     def is_pure(self) -> bool:
-        return len(self._under_facet) == len(self._cells)
+        # pure exactly when every cell below the facets has a coface
+        return len(self._cofaces) + len(self.facets) == len(self._cells)
 
     def facets_over(self, side_id: str) -> tuple[str, ...]:
-        """Facets whose boundary contains the given side, sorted."""
-        return tuple(
-            f for f in self.facets if side_id in self._cells[f].boundary
-        )
+        """Sorted facets whose boundary holds the side; () for a non-side."""
+        return self._cofaces.get(side_id, ()) if side_id in self._side_degrees else ()
 
 
 def build_complex(cells: Iterable[Cell]) -> Complex:
@@ -440,12 +439,12 @@ def corner_link(k: Complex, corner_id: str) -> DualMultigraph:
     """
     if corner_id not in k or k.cell(corner_id).dim != k.dim - 2:
         raise BadParameters(f"{corner_id!r} is not an (n-2)-cell")
-    verts = tuple(f for f in k.facets if corner_id in k.closure(f))
+    # a facet holds the corner exactly when one of its sides does
+    sides = k._cofaces.get(corner_id, ())
+    verts = tuple(sorted({f for s in sides for f in k._cofaces.get(s, ())}))
     edges: list[DualEdge] = []
-    for s in k.sides:
-        if corner_id not in k.closure(s):
-            continue
-        over = [f for f in verts if s in k.boundary(f)]
+    for s in sides:
+        over = k._cofaces.get(s, ())
         for i in range(len(over)):
             for j in range(i + 1, len(over)):
                 edges.append(DualEdge(over[i], over[j], s))

@@ -305,6 +305,13 @@ def gluing_from_cover(cover: CoverMap) -> Gluing:
 # ---- merging covers ---------------------------------------------------
 
 
+def _repair(left: list[tuple[str, str]], right: list[tuple[str, str]]) -> None:
+    """First pairs {sigma, tau}, {mu, lambda} become {sigma, mu}, {tau, lambda}."""
+    (sigma, tau), (mu, lam) = left[0], right[0]
+    left[0] = (min(sigma, mu), max(sigma, mu))
+    right[0] = (min(tau, lam), max(tau, lam))
+
+
 def merge_covers(
     cover_l: CoverMap, cover_c: CoverMap, side_id: str
 ) -> CoverMap:
@@ -337,10 +344,7 @@ def merge_covers(
         left = list(g_l.pairs.get(s, ()))
         right = list(g_c.pairs.get(s, ()))
         if s == side_id:
-            sigma, tau = left[0]
-            mu, lam = right[0]
-            left[0] = (min(sigma, mu), max(sigma, mu))
-            right[0] = (min(tau, lam), max(tau, lam))
+            _repair(left, right)
         pairs[s] = tuple(left + right)
     _, cover = build_glued_complex(union, Gluing(pairs=pairs))
     return cover
@@ -354,12 +358,13 @@ def euler_cover(
 ) -> CoverMap:
     """A pseudomanifold cover of a strongly connected even complex.
 
-    Decomposes into circlets, covers each one, and folds the covers
-    together in breadth-first order over the circlet adjacency graph
-    (circlets are adjacent when they share a side), starting from the
-    lexicographically smallest circlet, always merging across the
-    smallest shared side. Every prefix of that order is strongly
-    connected, so each merge is defined.
+    Decomposes into circlets and folds their gluings in breadth-first
+    order over the circlet adjacency graph (circlets are adjacent when
+    they share a side), from the lexicographically smallest circlet: the
+    pair lists are concatenated per side, and each circlet is re-paired
+    with those before it at the smallest side they share, as
+    :func:`merge_covers` does. One build of the folded gluing gives the
+    cover that the chain of merges would.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -375,31 +380,26 @@ def euler_cover(
 
     subs = [induced_subcomplex(k, p) for p in parts]
     side_sets = [set(sub.sides) for sub in subs]
-    order_key = sorted(range(len(parts)), key=lambda i: parts[i])
-    start = order_key[0]
-    visited = [False] * len(parts)
-    visited[start] = True
-    queue = deque([start])
-    fold_order = [start]
-    while queue:
-        i = queue.popleft()
-        for j in order_key:
-            if not visited[j] and side_sets[i] & side_sets[j]:
-                visited[j] = True
-                queue.append(j)
+    order = sorted(range(len(parts)), key=parts.__getitem__)
+    fold_order, seen = order[:1], set(order[:1])
+    for i in fold_order:  # breadth-first: the list is its own queue
+        for j in order:
+            if j not in seen and side_sets[i] & side_sets[j]:
+                seen.add(j)
                 fold_order.append(j)
-    if not all(visited):
-        raise NotStronglyConnected("circlet adjacency graph is disconnected")
 
-    cover = cover_circlet(subs[fold_order[0]], strategy=strategy, seed=seed)
-    for i in fold_order[1:]:
-        nxt = cover_circlet(subs[i], strategy=strategy, seed=seed)
-        shared = sorted(set(cover.target.sides) & side_sets[i])
-        cover = merge_covers(cover, nxt, shared[0])
-    if set(cover.target.facets) != set(k.facets):
-        raise NotStronglyConnected("fold did not reach every facet")
-    # the rebuilt union is cell-identical to k; hand back k itself
-    return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for i in fold_order:
+        require_circlet(subs[i])
+        g = canonical_gluing(subs[i], strategy=strategy, seed=seed)
+        piece = {s: list(p) for s, p in g.pairs.items()}
+        if pairs:
+            shared = min(side_sets[i].intersection(pairs))
+            _repair(pairs[shared], piece[shared])
+        for s, p in piece.items():
+            pairs.setdefault(s, []).extend(p)
+    gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
+    return build_glued_complex(k, gluing)[1]
 
 
 # ---- verification -----------------------------------------------------

@@ -8,6 +8,7 @@ way.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -246,20 +247,20 @@ def random_even(seed: int, size: int) -> Complex:
     current: dict[str, Cell] = {
         c.id: c for c in _relabel(base, "g0.", {})
     }
-    complex_now = build_complex(current.values())
+    edges = sorted(cid for cid, c in current.items() if c.dim == 1)
     for step in range(1, size):
         piece = rng.choice(library)
-        host_edge = rng.choice(sorted(complex_now.sides))
-        piece_edge = rng.choice(sorted(piece.sides))
-        hu, hv = sorted(complex_now.boundary(host_edge))
+        host_edge = rng.choice(edges)
+        piece_edge = rng.choice(piece.sides)
+        hu, hv = sorted(current[host_edge].boundary)
         pu, pv = sorted(piece.boundary(piece_edge))
         identify = {piece_edge: host_edge, pu: hu, pv: hv}
         for c in _relabel(piece, f"g{step}.", identify):
-            existing = current.get(c.id)
-            if existing is None:
+            if c.id not in current:
                 current[c.id] = c
-        complex_now = build_complex(current.values())
-    return complex_now
+                if c.dim == 1:
+                    bisect.insort(edges, c.id)
+    return build_complex(current.values())
 
 
 def random_even_multigraph(seed: int, max_vertices: int = 12) -> Complex:

@@ -12,6 +12,7 @@ every even complex splits into facet-disjoint circlets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -49,8 +50,12 @@ class IncidenceMatrixGF2:
     def shape(self) -> tuple[int, int]:
         return len(self.side_ids), len(self.facet_ids)
 
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        return {f: j for j, f in enumerate(self.facet_ids)}
+
     def column_index(self, facet_ids: Iterable[str]) -> list[int]:
-        lookup = {f: j for j, f in enumerate(self.facet_ids)}
+        lookup = self._columns
         out = []
         for f in facet_ids:
             j = lookup.get(f)
@@ -112,23 +117,16 @@ def find_even_subset(
 def extract_circlet(
     m: IncidenceMatrixGF2, facet_ids: Iterable[str]
 ) -> frozenset[str]:
-    """Shrink an even facet set to a minimal even subset (a circlet).
+    """A minimal even subset (a circlet) of an even facet set S, in one scan.
 
-    Scans facets in id order; whenever dropping one still leaves an even
-    subset, replaces the working set by that subset and restarts the scan
-    from the smallest id. Stops when no single facet can be spared.
+    Returns find_even_subset(S - {min S}), or S when that finds nothing.
+    The scan returns a fundamental circuit, hence minimal; if it finds
+    nothing, S is minimal, as a proper even T puts T or S - T in S - {min S}.
     """
     current = frozenset(facet_ids)
     if not is_even_subset(m, current):
         raise NotEven("starting facet set is not even")
-    while True:
-        for f in sorted(current):
-            found = find_even_subset(m, current - {f})
-            if found is not None:
-                current = found
-                break
-        else:
-            return current
+    return find_even_subset(m, current - {min(current)}) or current
 
 
 @dataclass(frozen=True)

@@ -94,14 +94,20 @@ def save_complex(k: Complex, path: str | Path) -> None:
     Path(path).write_text(dumps(complex_to_dict(k)))
 
 
-def load_complex(path: str | Path) -> Complex:
+def _read_json(path: str | Path) -> Any:
+    """Parse a JSON file; any failure to read or parse it is a ParseError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: bad bytes, NUL in path
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return complex_from_dict(doc)
+
+
+def load_complex(path: str | Path) -> Complex:
+    return complex_from_dict(_read_json(path))
 
 
 # ---- decompositions ---------------------------------------------------
@@ -172,14 +178,7 @@ def cover_from_dict(doc: Any, base_dir: Path | None = None) -> CoverMap:
 
 
 def load_cover(path: str | Path) -> CoverMap:
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return cover_from_dict(doc, base_dir=p.parent)
+    return cover_from_dict(_read_json(path), base_dir=Path(path).parent)
 
 
 # ---- tours and reports ------------------------------------------------

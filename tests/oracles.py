@@ -2,13 +2,25 @@
 
 Everything here trades speed for obviousness: exhaustive enumeration,
 edge deletion, plain breadth-first search. Keep these independent of the
-algorithms under test; they may only read the data structures.
+algorithms under test; they may only read the data structures. The last
+section keeps two algorithms the library replaced by direct forms, built
+from library primitives, as references for the replacements.
 """
 
 from collections import deque
 from itertools import combinations
 
-from circlet import Complex, DualMultigraph
+from circlet import (
+    Complex,
+    CoverMap,
+    DualEdge,
+    DualMultigraph,
+    cover_circlet,
+    find_even_subset,
+    incidence_matrix,
+    induced_subcomplex,
+    merge_covers,
+)
 
 
 # ---- GF(2) parity by exhaustive enumeration ---------------------------
@@ -194,3 +206,86 @@ def bridges_by_deletion(g: DualMultigraph) -> list[int]:
         if multigraph_components(g, skip_edge=i) > base:
             out.append(i)
     return out
+
+
+# ---- side and corner lookups by scanning every cell -------------------
+
+
+def facets_over_by_scan(k: Complex, cell_id: str) -> tuple[str, ...]:
+    """Facets whose boundary lists cell_id, found by reading every facet."""
+    return tuple(f for f in k.facets if cell_id in k.boundary(f))
+
+
+def corner_link_by_scan(k: Complex, corner_id: str) -> DualMultigraph:
+    """The link of a corner from closures: facets over it, edges per side."""
+    verts = tuple(f for f in k.facets if corner_id in k.closure(f))
+    edges = []
+    for s in k.sides:
+        if corner_id not in k.closure(s):
+            continue
+        over = [f for f in verts if s in k.boundary(f)]
+        for a, b in combinations(over, 2):
+            edges.append(DualEdge(a, b, s))
+    edges.sort(key=lambda e: (e.side, e.left, e.right))
+    return DualMultigraph(vertices=verts, edges=tuple(edges))
+
+
+# ---- replaced algorithms, kept as references --------------------------
+
+
+def shrink_by_deletion(m, facet_ids) -> frozenset[str]:
+    """Shrink an even facet set until no single facet can be spared.
+
+    Scans facets in id order; whenever dropping one still leaves an even
+    subset, replaces the working set by that subset and restarts.
+    """
+    current = frozenset(facet_ids)
+    while True:
+        for f in sorted(current):
+            found = find_even_subset(m, current - {f})
+            if found is not None:
+                current = found
+                break
+        else:
+            return current
+
+
+def decompose_by_deletion(k: Complex) -> tuple[tuple[str, ...], ...]:
+    """Peel circlets off an even complex with shrink_by_deletion."""
+    m = incidence_matrix(k)
+    remaining = set(k.facets)
+    parts = []
+    while remaining:
+        circlet = shrink_by_deletion(m, remaining)
+        parts.append(tuple(sorted(circlet)))
+        remaining -= circlet
+    return tuple(parts)
+
+
+def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
+    """A cover as a chain of merge_covers calls, one per circlet after the first.
+
+    Circlets are covered one by one and merged in breadth-first order over
+    shared sides, from the smallest circlet, across the smallest side the
+    union so far shares with the next one; every merge rebuilds the union.
+    """
+    parts = decompose_by_deletion(k)
+    if len(parts) == 1:
+        return cover_circlet(k, strategy=strategy, seed=seed)
+    subs = [induced_subcomplex(k, p) for p in parts]
+    order = sorted(range(len(parts)), key=lambda i: parts[i])
+    fold = [order[0]]
+    queue = deque(fold)
+    while queue:
+        i = queue.popleft()
+        for j in order:
+            if j not in fold and set(subs[i].sides) & set(subs[j].sides):
+                fold.append(j)
+                queue.append(j)
+    cover = cover_circlet(subs[fold[0]], strategy=strategy, seed=seed)
+    for i in fold[1:]:
+        nxt = cover_circlet(subs[i], strategy=strategy, seed=seed)
+        shared = sorted(set(cover.target.sides) & set(subs[i].sides))
+        cover = merge_covers(cover, nxt, shared[0])
+    assert set(cover.target.facets) == set(k.facets)
+    return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)

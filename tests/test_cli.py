@@ -245,6 +245,43 @@ def test_export_dual_points(capsys, tmp_path):
     assert json.loads(out)["error"] == "ZeroDimensional"
 
 
+# ---- hostile input files ----------------------------------------------
+
+
+def write_non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": 0, "cells": [{"id": "\xe9"}]}')
+    return "analyze", path
+
+
+def write_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    return "analyze", path
+
+
+def write_nul_target(tmp_path):
+    path = tmp_path / "cover.json"
+    source = serialize.complex_to_dict(simplex_skeleton(4, 2))
+    path.write_text(json.dumps({"source": source, "target": "a\u0000b", "map": []}))
+    return "verify", path
+
+
+@pytest.mark.parametrize(
+    "write", [write_non_utf8, write_deep_nesting, write_nul_target]
+)
+def test_hostile_file_is_a_parse_error(tmp_path, write):
+    command, path = write(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "circlet.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "ParseError"
+    assert "Traceback" not in proc.stderr
+
+
 # ---- console script wiring --------------------------------------------
 
 

@@ -1,0 +1,137 @@
+"""The library's direct algorithms against the references in oracles.py.
+
+Lookups read the coface map built at construction; the references scan
+every cell. Circlet extraction is one GF(2) scan; the reference shrinks
+by deletion. euler_cover builds once from a fold over gluings; the
+reference chains merge_covers. Each pair must agree exactly.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import builders
+import oracles
+from circlet import (
+    corner_link,
+    decompose_into_circlets,
+    euler_cover,
+    extract_circlet,
+    incidence_matrix,
+)
+from circlet.errors import BadParameters
+from circlet.families import (
+    crosspolytope_skeleton,
+    finned_circlet,
+    hypercube_skeleton,
+    random_even,
+    random_even_multigraph,
+    simplex_skeleton,
+    triangular_grid,
+)
+from circlet.serialize import cover_to_dict
+
+STRATEGIES = [("canonical", 0), ("seeded", 3), ("seeded", 7)]
+
+
+LOOKUP_CASES = {
+    "delta4_2": lambda: simplex_skeleton(5, 2),
+    "delta5_3": lambda: simplex_skeleton(6, 3),
+    "finned3_4": lambda: finned_circlet(3, 4),
+    "grid3": lambda: triangular_grid(3),
+    "random_even4_5": lambda: random_even(4, 5),
+    "cover_source": lambda: euler_cover(random_even(4, 5)).source,
+    "not_pure": builders.triangle_with_extra_vertex,
+    "path": builders.path_graph,
+    "two_cycle": builders.two_cycle,
+}
+
+
+# ---- lookups ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_facets_over_matches_scan(case):
+    k = LOOKUP_CASES[case]()
+    for cid in [c.id for c in k] + ["no-such-cell"]:
+        assert k.facets_over(cid) == oracles.facets_over_by_scan(k, cid)
+    for s in k.sides:
+        assert k.side_degrees[s] == len(oracles.facets_over_by_scan(k, s))
+    under = set().union(*(k.closure(f) for f in k.facets))
+    assert k.is_pure == (under == {c.id for c in k})
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_corner_link_matches_scan(case):
+    k = LOOKUP_CASES[case]()
+    for cid in k.corners:
+        assert corner_link(k, cid) == oracles.corner_link_by_scan(k, cid)
+    for cid in (*k.sides, *k.facets, "no-such-cell"):
+        with pytest.raises(BadParameters):
+            corner_link(k, cid)
+
+
+# ---- circlet extraction -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: simplex_skeleton(4, 2),
+        lambda: simplex_skeleton(5, 2),
+        lambda: finned_circlet(3, 4),
+        lambda: random_even(2, 2),
+        lambda: random_even_multigraph(5),
+    ],
+    ids=["delta3_2", "delta4_2", "finned3_4", "random_even2_2", "multigraph5"],
+)
+def test_extract_circlet_matches_shrink_on_every_even_set(make):
+    k = make()
+    m = incidence_matrix(k)
+    for subset in oracles.all_even_facet_sets(k):
+        expected = oracles.shrink_by_deletion(m, subset)
+        assert extract_circlet(m, subset) == expected
+        assert oracles.is_minimal_even_set(k, expected)
+
+
+# ---- decompositions and covers ----------------------------------------
+
+
+def assert_matches_references(k, strategy, seed):
+    parts = decompose_into_circlets(k).parts
+    assert parts == oracles.decompose_by_deletion(k)
+    assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
+        oracles.fold_by_merges(k, strategy, seed)
+    )
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(1, 12))
+def test_random_even_matches_references(strategy, seed, n, size):
+    assert_matches_references(random_even(n, size), strategy, seed)
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6))
+def test_random_even_multigraph_matches_references(strategy, seed, n):
+    assert_matches_references(random_even_multigraph(n), strategy, seed)
+
+
+# circlets here share several sides with those folded before them, so the
+# choice of the smallest shared side is exercised
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: simplex_skeleton(6, 2),
+        lambda: simplex_skeleton(8, 2),
+        lambda: simplex_skeleton(7, 3),
+        lambda: crosspolytope_skeleton(4, 2),
+        lambda: hypercube_skeleton(5, 2),
+    ],
+    ids=["delta5_2", "delta7_2", "delta6_3", "cross4_2", "cube5_2"],
+)
+def test_skeletons_match_references(make, strategy, seed):
+    assert_matches_references(make(), strategy, seed)
