@@ -1,8 +1,8 @@
-"""Compare the compiled and pure-numpy dependency scanners.
+"""Time the GF(2) dependency scan.
 
 Runs first_dependency over incidence matrices of generated complexes and
-over random bit matrices, timing both backends on identical inputs and
-checking that they return identical results.
+over random bit matrices, reporting the best of N runs per case and
+checking that every run returns the same result.
 
 Usage: python3 benchmarks/bench_gf2.py [--repeat N]
 """
@@ -39,14 +39,17 @@ def cases():
     yield "random 4000x1200 d=0.01", random_packed(rng, 4000, 1200, 0.01)
 
 
-def bench(fn, packed, repeat):
+def bench(packed, repeat):
+    """Best time over the repeats, and the result all repeats agreed on."""
     best = float("inf")
-    result = None
+    results = []
     for _ in range(repeat):
         start = time.perf_counter()
-        result = fn(np.array(packed))
+        j, combo = gf2.first_dependency(np.array(packed))
         best = min(best, time.perf_counter() - start)
-    return best, result
+        results.append((j, combo.tolist()))
+    assert all(r == results[0] for r in results), "repeats disagree"
+    return best, results[0]
 
 
 def main():
@@ -54,27 +57,11 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    if gf2.HAS_NUMBA:
-        gf2.warm_up()
-    else:
-        print("numba unavailable; only the numpy path will run")
-
-    header = f"{'case':<28} {'cols x words':>14} {'numpy':>10}"
-    if gf2.HAS_NUMBA:
-        header += f" {'numba':>10} {'speedup':>8}"
-    print(header)
+    print(f"{'case':<28} {'cols x words':>14} {'scan':>10} {'dependent':>10}")
     for name, packed in cases():
         shape = f"{packed.shape[0]} x {packed.shape[1]}"
-        t_np, res_np = bench(gf2.first_dependency_numpy, packed, args.repeat)
-        line = f"{name:<28} {shape:>14} {t_np * 1e3:>8.2f}ms"
-        if gf2.HAS_NUMBA:
-            t_nb, res_nb = bench(
-                gf2.first_dependency_numba, packed, args.repeat
-            )
-            assert res_np[0] == res_nb[0]
-            assert np.array_equal(res_np[1], res_nb[1])
-            line += f" {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>7.1f}x"
-        print(line)
+        t, (j, _) = bench(packed, max(1, args.repeat))
+        print(f"{name:<28} {shape:>14} {t * 1e3:>8.2f}ms {j:>10}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ bad generator parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any
@@ -188,7 +189,9 @@ def cmd_export_dual(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="circlet",
         description=(

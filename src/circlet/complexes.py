@@ -1,11 +1,11 @@
 """Face-poset model of finite regular CW-complexes.
 
 A complex is stored through its covering relation: each cell lists the ids
-of the cells one dimension down on its boundary sphere. Full closures,
-per-dimension indexes and the coface map (the same relation read upward)
-are computed once at construction;
-after that a Complex never changes, so instances are safe to share and
-every query gives the same answer twice.
+of the cells one dimension down on its boundary sphere. Per-dimension
+indexes and the coface map (the same relation read upward) are computed
+once at construction, full closures on first request; a Complex never
+changes, so instances are safe to share and every query gives the same
+answer twice.
 
 Vocabulary used throughout: with n the dimension of the complex, *facets*
 are the n-cells, *sides* the (n-1)-cells, *corners* the (n-2)-cells. The
@@ -132,17 +132,12 @@ class Complex:
 
         n = ordered[-1].dim
         by_dim: list[list[str]] = [[] for _ in range(n + 1)]
-        # closures bottom-up, as boundary members always have smaller dim;
         # the coface lists fill in (dim, id) order
-        closure: dict[str, frozenset[str]] = {}
         up: dict[str, list[str]] = {}
         for c in ordered:
             by_dim[c.dim].append(c.id)
-            acc = {c.id}
             for b in c.boundary:
-                acc |= closure[b]
                 up.setdefault(b, []).append(c.id)
-            closure[c.id] = frozenset(acc)
         cofaces = {b: tuple(ids) for b, ids in up.items()}
         side_degrees = (
             {s: len(cofaces.get(s, ())) for s in by_dim[n - 1]} if n >= 1 else {}
@@ -151,7 +146,7 @@ class Complex:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_cells", table)
         object.__setattr__(self, "_by_dim", tuple(tuple(ids) for ids in by_dim))
-        object.__setattr__(self, "_closure", closure)
+        object.__setattr__(self, "_closure", {})
         object.__setattr__(self, "_cofaces", cofaces)
         object.__setattr__(self, "_side_degrees", side_degrees)
         object.__setattr__(self, "_dual", None)
@@ -189,8 +184,14 @@ class Complex:
         return self._cells[cell_id].boundary
 
     def closure(self, cell_id: str) -> frozenset[str]:
-        """All cells under cell_id, itself included."""
-        return self._closure[cell_id]
+        """All cells under cell_id, itself included; memoized per cell."""
+        got = self._closure.get(cell_id)
+        if got is None:
+            acc = {cell_id}
+            for b in self._cells[cell_id].boundary:
+                acc |= self.closure(b)
+            got = self._closure[cell_id] = frozenset(acc)
+        return got
 
     def cells_of_dim(self, r: int) -> tuple[str, ...]:
         if 0 <= r <= self.dim:

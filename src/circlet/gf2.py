@@ -6,79 +6,63 @@ operation is a left-to-right dependency scan that either certifies the
 columns independent or stops at the first column that is a GF(2)
 combination of earlier ones and reports that combination.
 
-Two interchangeable kernels implement the scan: a numba-compiled loop and
-a vectorized numpy path. Both keep the working basis fully reduced, so
-the reported combination is the unique expression of the dependent
-column in the earlier independent ones and the backends agree bit for
-bit. Selection:
-
-    CIRCLET_GF2_BACKEND=numba   force the compiled kernel
-    CIRCLET_GF2_BACKEND=numpy   force the vectorized fallback
-    unset / auto                numba when importable, else numpy
+The scan works on Python ints: each column becomes one int bitset when
+the scan reaches it, and the basis is keyed by each vector's lowest set
+bit. A new column is XORed with the basis vector at its lowest bit until
+that bit is a new pivot or the column is zero. The earlier columns are
+independent, so the reported combination is the unique expression of the
+dependent column in them.
 """
 
 from __future__ import annotations
 
-import os
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
 __all__ = [
-    "HAS_NUMBA",
-    "BACKEND_ENV",
     "active_backend",
     "pack_from_indices",
     "xor_select",
     "bit_indices",
     "first_dependency",
-    "first_dependency_numpy",
-    "first_dependency_numba",
 ]
 
-BACKEND_ENV = "CIRCLET_GF2_BACKEND"
 _WORD = 64
 
 
 def active_backend() -> str:
-    """Resolve the backend name the dispatcher will use right now."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("CIRCLET_GF2_BACKEND=numba but numba is missing")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the scan kernel; there is one."""
+    return "python-int"
+
+
+def _n_words(n_bits: int) -> int:
+    return max(1, -(-n_bits // _WORD))
+
+
+def _pack_ints(values: Sequence[int], n_words: int) -> np.ndarray:
+    """Pack int bitsets into a writable (len(values), n_words) uint64 array."""
+    n_bytes = 8 * n_words
+    raw = bytearray(b"".join(v.to_bytes(n_bytes, "little") for v in values))
+    words = np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
+    return words.reshape(len(values), n_words)
 
 
 def pack_from_indices(
     rows_per_col: Sequence[Iterable[int]], n_rows: int
 ) -> np.ndarray:
     """Pack per-column row-index lists into a (n_cols, n_words) matrix."""
-    n_cols = len(rows_per_col)
-    n_words = max(1, -(-n_rows // _WORD))
-    packed = np.zeros((n_cols, n_words), dtype=np.uint64)
-    for j, rows in enumerate(rows_per_col):
+    ints = []
+    for rows in rows_per_col:
+        v = 0
         for r in rows:
+            r = index(r)
             if not 0 <= r < n_rows:
                 raise ValueError(f"row index {r} outside [0, {n_rows})")
-            packed[j, r >> 6] |= np.uint64(1) << np.uint64(r & 63)
-    return packed
+            v |= 1 << r
+        ints.append(v)
+    return _pack_ints(ints, _n_words(n_rows))
 
 
 def xor_select(packed: np.ndarray, which: Sequence[int]) -> np.ndarray:
@@ -100,123 +84,30 @@ def bit_indices(vec: np.ndarray) -> list[int]:
     return out
 
 
-def _empty_combo(n_cols: int) -> np.ndarray:
-    return np.zeros(max(1, -(-n_cols // _WORD)), dtype=np.uint64)
-
-
-def first_dependency_numpy(cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Vectorized scan. Returns (col index, combination) or (-1, zeros).
+def first_dependency(cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Left-to-right scan. Returns (col index, combination) or (-1, zeros).
 
     The combination is packed over column indices and always contains the
     reported column itself.
     """
     n_cols, n_words = cols.shape
-    n_cw = max(1, -(-n_cols // _WORD))
-    basis = np.zeros((n_cols, n_words), dtype=np.uint64)
-    combos = np.zeros((n_cols, n_cw), dtype=np.uint64)
-    piv_word = np.zeros(n_cols, dtype=np.intp)
-    piv_bit = np.zeros(n_cols, dtype=np.uint64)
-    count = 0
+    row_bytes = 8 * n_words
+    flat = np.ascontiguousarray(cols, dtype="<u8").reshape(-1)
+    data = memoryview(flat.view(np.uint8))
+    from_bytes = int.from_bytes
+    # lowest set bit -> (vector, combination of columns giving it)
+    basis: dict[int, tuple[int, int]] = {}
     for j in range(n_cols):
-        v = cols[j].copy()
-        c = np.zeros(n_cw, dtype=np.uint64)
-        c[j >> 6] = np.uint64(1) << np.uint64(j & 63)
-        if count:
-            # basis is reduced, so one gather-select-xor pass clears
-            # every pivot bit v carries
-            hit = ((v[piv_word[:count]] >> piv_bit[:count]) & np.uint64(1)) != 0
-            if hit.any():
-                v ^= np.bitwise_xor.reduce(basis[:count][hit], axis=0)
-                c ^= np.bitwise_xor.reduce(combos[:count][hit], axis=0)
-        if not v.any():
-            return j, c
-        w = int(np.flatnonzero(v)[0])
-        word = int(v[w])
-        b = (word & -word).bit_length() - 1
-        if count:
-            # keep the basis reduced: clear the new pivot everywhere
-            hit = ((basis[:count, w] >> np.uint64(b)) & np.uint64(1)) != 0
-            if hit.any():
-                basis[:count][hit] ^= v
-                combos[:count][hit] ^= c
-        basis[count] = v
-        combos[count] = c
-        piv_word[count] = w
-        piv_bit[count] = np.uint64(b)
-        count += 1
-    return -1, _empty_combo(n_cols)
-
-
-@njit(cache=True)
-def _scan_numba(cols):  # pragma: no cover - exercised through the wrapper
-    n_cols, n_words = cols.shape
-    n_cw = (n_cols + 63) // 64
-    if n_cw < 1:
-        n_cw = 1
-    basis = np.zeros((n_cols, n_words), dtype=np.uint64)
-    combos = np.zeros((n_cols, n_cw), dtype=np.uint64)
-    piv_word = np.zeros(n_cols, dtype=np.int64)
-    piv_bit = np.zeros(n_cols, dtype=np.uint64)
-    count = 0
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for j in range(n_cols):
-        v = cols[j].copy()
-        c = np.zeros(n_cw, dtype=np.uint64)
-        c[j >> 6] = one << np.uint64(j & 63)
-        for b in range(count):
-            if (v[piv_word[b]] >> piv_bit[b]) & one:
-                for w in range(n_words):
-                    v[w] ^= basis[b, w]
-                for w in range(n_cw):
-                    c[w] ^= combos[b, w]
-        nz = -1
-        for w in range(n_words):
-            if v[w] != zero:
-                nz = w
+        v = from_bytes(data[j * row_bytes : (j + 1) * row_bytes], "little")
+        c = 1 << j
+        while v:
+            low = v & -v
+            hit = basis.get(low)
+            if hit is None:
+                basis[low] = (v, c)
                 break
-        if nz < 0:
-            return j, c
-        word = v[nz]
-        bit = np.uint64(0)
-        while (word >> bit) & one == zero:
-            bit += one
-        for b in range(count):
-            if (basis[b, nz] >> bit) & one:
-                for w in range(n_words):
-                    basis[b, w] ^= v[w]
-                for w in range(n_cw):
-                    combos[b, w] ^= c[w]
-        for w in range(n_words):
-            basis[count, w] = v[w]
-        for w in range(n_cw):
-            combos[count, w] = c[w]
-        piv_word[count] = nz
-        piv_bit[count] = bit
-        count += 1
-    return -1, np.zeros(n_cw, dtype=np.uint64)
-
-
-def first_dependency_numba(cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Compiled scan; same contract as first_dependency_numpy."""
-    if not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is missing")
-    if cols.shape[0] == 0:
-        return -1, _empty_combo(0)
-    j, c = _scan_numba(np.ascontiguousarray(cols, dtype=np.uint64))
-    return int(j), c
-
-
-def first_dependency(cols: np.ndarray) -> tuple[int, np.ndarray]:
-    """Dispatch the scan to the backend selected by CIRCLET_GF2_BACKEND."""
-    if active_backend() == "numba":
-        return first_dependency_numba(cols)
-    return first_dependency_numpy(cols)
-
-
-def warm_up() -> str:
-    """Trigger JIT compilation once so later calls run at steady state."""
-    backend = active_backend()
-    if backend == "numba":
-        first_dependency_numba(np.ones((2, 1), dtype=np.uint64))
-    return backend
+            v ^= hit[0]
+            c ^= hit[1]
+        else:
+            return j, _pack_ints([c], _n_words(n_cols))[0]
+    return -1, np.zeros(_n_words(n_cols), dtype=np.uint64)

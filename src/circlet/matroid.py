@@ -142,10 +142,14 @@ class CircletDecomposition:
 def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     """Peel circlets off an even complex until no facet remains.
 
-    Each peel extracts a circlet from the remaining facets; the remainder
-    of an even set minus a circlet is even again (or empty), so the loop
-    always terminates in a partition. Re-running gives the identical
-    decomposition.
+    ``alive`` holds the column positions of the remaining facets after the
+    smallest one, which is never peeled. Each peel is one scan of those
+    columns: the first dependency is a fundamental circuit, and its bits
+    index into ``alive``. Every circuit XORs to zero, so the remainder
+    stays even; once a scan finds no dependency, the smallest facet with
+    what is left is the last circlet, and the one evenness check is made
+    there. Columns are in id order, so the parts are exactly those of
+    repeated :func:`extract_circlet`.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -153,12 +157,21 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     if not profile.is_even:
         raise NotEven("decomposition needs every side degree positive even")
     m = incidence_matrix(k)
-    remaining = set(k.facets)
+    facets = m.facet_ids
+    alive = list(range(1, len(facets)))
     parts: list[tuple[str, ...]] = []
-    while remaining:
-        circlet = extract_circlet(m, remaining)
-        parts.append(tuple(sorted(circlet)))
-        remaining -= circlet
+    while alive:
+        j, combo = gf2.first_dependency(m.packed[alive])
+        if j < 0:
+            break
+        peeled = [alive[b] for b in gf2.bit_indices(combo)]
+        parts.append(tuple(facets[p] for p in peeled))
+        gone = set(peeled)
+        alive = [p for p in alive if p not in gone]
+    last = [0, *alive]
+    if gf2.xor_select(m.packed, last).any():
+        raise NotEven("starting facet set is not even")
+    parts.append(tuple(facets[p] for p in last))
     return CircletDecomposition(parts=tuple(parts))
 
 

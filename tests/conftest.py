@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from circlet import gf2
 from circlet.families import (
     crosspolytope_skeleton,
     finned_circlet,
@@ -10,12 +9,6 @@ from circlet.families import (
     simplex_skeleton,
     triangular_grid,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # One-time JIT compilation happens here, outside any timed assertion.
-    gf2.warm_up()
 
 
 def pytest_terminal_summary(terminalreporter):

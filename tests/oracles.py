@@ -208,6 +208,20 @@ def bridges_by_deletion(g: DualMultigraph) -> list[int]:
     return out
 
 
+# ---- closures built eagerly, bottom-up ---------------------------------
+
+
+def closures_bottom_up(k: Complex) -> dict[str, frozenset[str]]:
+    """Every cell's closure, built eagerly in (dim, id) order."""
+    out: dict[str, frozenset[str]] = {}
+    for c in k:
+        acc = {c.id}
+        for b in c.boundary:
+            acc |= out[b]
+        out[c.id] = frozenset(acc)
+    return out
+
+
 # ---- side and corner lookups by scanning every cell -------------------
 
 

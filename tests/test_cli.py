@@ -226,6 +226,34 @@ def test_generate_unknown_family_rejected_by_argparse(capsys):
     capsys.readouterr()
 
 
+def test_shared_parser_matches_fresh_processes(
+    capsys, delta52_file, cube_file
+):
+    # one process: a rejected argv, then good calls whose options differ
+    calls = [
+        ("cover", delta52_file, "--strategy", "bogus"),
+        ("analyze", delta52_file),
+        ("cover", delta52_file, "--strategy", "seeded", "--seed", "7"),
+        ("cover", delta52_file),
+        ("tour", cube_file),
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "circlet.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0]
+
+
 # ---- export-dual ------------------------------------------------------
 
 

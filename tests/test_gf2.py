@@ -39,27 +39,22 @@ def column_ints(packed: np.ndarray) -> list[int]:
 
 
 def check_scan_result(packed: np.ndarray):
-    """Both backends agree, and the result matches the dense oracle."""
-    j_np, combo_np = gf2.first_dependency_numpy(packed)
+    """The scan matches the dense oracle and reports a zero combination."""
+    j, combo = gf2.first_dependency(packed)
     cols = column_ints(packed)
-    j_ref = first_dependent_index(cols)
-    assert j_np == j_ref
-    if gf2.HAS_NUMBA:
-        j_nb, combo_nb = gf2.first_dependency_numba(packed)
-        assert j_nb == j_np
-        assert np.array_equal(combo_nb, combo_np)
-    if j_np >= 0:
-        support = gf2.bit_indices(combo_np)
+    assert j == first_dependent_index(cols)
+    if j >= 0:
+        support = gf2.bit_indices(combo)
         assert support
-        assert max(support) == j_np
-        assert all(0 <= b <= j_np for b in support)
+        assert max(support) == j
+        assert all(0 <= b <= j for b in support)
         acc = 0
         for b in support:
             acc ^= cols[b]
         assert acc == 0
     else:
-        assert not combo_np.any()
-    return j_np
+        assert not combo.any()
+    return j
 
 
 # ---- fixed cases ------------------------------------------------------
@@ -71,6 +66,15 @@ def test_pack_from_indices_layout():
     assert packed[0, 0] == (1 | (1 << 63))
     assert packed[1, 1] == 1
     assert packed[2].sum() == 0
+
+
+def test_pack_accepts_numpy_indices_and_repeated_rows():
+    rows = np.array([70, 3, 70, 3, 0], dtype=np.int64)
+    packed = gf2.pack_from_indices([rows, rows[:1]], n_rows=130)
+    assert packed.dtype == np.uint64
+    assert packed.shape == (2, 3)
+    assert gf2.bit_indices(packed[0]) == [0, 3, 70]
+    assert gf2.bit_indices(packed[1]) == [70]
 
 
 def test_pack_rejects_out_of_range():
@@ -96,7 +100,7 @@ def test_duplicate_column_is_first_dependency():
     packed = gf2.pack_from_indices([[0, 1], [2], [0, 1]], n_rows=3)
     j = check_scan_result(packed)
     assert j == 2
-    _, combo = gf2.first_dependency_numpy(packed)
+    _, combo = gf2.first_dependency(packed)
     assert gf2.bit_indices(combo) == [0, 2]
 
 
@@ -104,7 +108,7 @@ def test_zero_column_is_immediately_dependent():
     packed = gf2.pack_from_indices([[], [0]], n_rows=1)
     j = check_scan_result(packed)
     assert j == 0
-    _, combo = gf2.first_dependency_numpy(packed)
+    _, combo = gf2.first_dependency(packed)
     assert gf2.bit_indices(combo) == [0]
 
 
@@ -113,7 +117,7 @@ def test_triangle_boundary_dependency():
     packed = gf2.pack_from_indices([[0, 2], [0, 1], [1, 2]], n_rows=3)
     j = check_scan_result(packed)
     assert j == 2
-    _, combo = gf2.first_dependency_numpy(packed)
+    _, combo = gf2.first_dependency(packed)
     assert gf2.bit_indices(combo) == [0, 1, 2]
 
 
@@ -133,38 +137,7 @@ def test_scan_across_word_boundaries():
     assert j == 129
 
 
-# ---- backend selection ------------------------------------------------
-
-
-def test_active_backend_env_override(monkeypatch):
-    monkeypatch.setenv(gf2.BACKEND_ENV, "numpy")
-    assert gf2.active_backend() == "numpy"
-    monkeypatch.setenv(gf2.BACKEND_ENV, "auto")
-    assert gf2.active_backend() == ("numba" if gf2.HAS_NUMBA else "numpy")
-    monkeypatch.delenv(gf2.BACKEND_ENV, raising=False)
-    assert gf2.active_backend() == ("numba" if gf2.HAS_NUMBA else "numpy")
-
-
-@pytest.mark.skipif(not gf2.HAS_NUMBA, reason="numba not installed")
-def test_forced_numba_backend(monkeypatch):
-    monkeypatch.setenv(gf2.BACKEND_ENV, "numba")
-    assert gf2.active_backend() == "numba"
-
-
-def test_dispatcher_follows_env(monkeypatch):
-    packed = gf2.pack_from_indices([[0, 2], [0, 1], [1, 2]], n_rows=3)
-    monkeypatch.setenv(gf2.BACKEND_ENV, "numpy")
-    j1, c1 = gf2.first_dependency(packed)
-    monkeypatch.setenv(gf2.BACKEND_ENV, "auto")
-    j2, c2 = gf2.first_dependency(packed)
-    assert (j1, list(c1)) == (j2, list(c2))
-
-
-def test_warm_up_returns_backend_name():
-    assert gf2.warm_up() in ("numba", "numpy")
-
-
-# ---- randomized agreement ---------------------------------------------
+# ---- randomized agreement with the dense oracle -----------------------
 
 
 def test_backend_agreement_random_matrices():

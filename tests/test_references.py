@@ -1,9 +1,11 @@
 """The library's direct algorithms against the references in oracles.py.
 
 Lookups read the coface map built at construction; the references scan
-every cell. Circlet extraction is one GF(2) scan; the reference shrinks
-by deletion. euler_cover builds once from a fold over gluings; the
-reference chains merge_covers. Each pair must agree exactly.
+every cell. Closures are computed on request; the reference builds them
+all bottom-up. Circlet extraction is one GF(2) scan, and decomposition
+one scan per peel; the references shrink by deletion. euler_cover
+builds once from a fold over gluings; the reference chains merge_covers.
+Each pair must agree exactly.
 """
 
 import pytest
@@ -62,6 +64,17 @@ def test_facets_over_matches_scan(case):
 
 
 @pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_closure_matches_bottom_up(case):
+    k = LOOKUP_CASES[case]()
+    expected = oracles.closures_bottom_up(k)
+    # top cells first, so lower closures are filled in by the recursion
+    for cid in [*reversed(expected), *expected]:
+        assert k.closure(cid) == expected[cid]
+    with pytest.raises(KeyError):
+        k.closure("no-such-cell")
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
 def test_corner_link_matches_scan(case):
     k = LOOKUP_CASES[case]()
     for cid in k.corners:
@@ -103,6 +116,12 @@ def assert_matches_references(k, strategy, seed):
     assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
         oracles.fold_by_merges(k, strategy, seed)
     )
+
+
+def test_many_small_circlets_match_deletion():
+    # 220 facets peel into 35 circlets of at most 8 facets each
+    k = simplex_skeleton(12, 2)
+    assert decompose_into_circlets(k).parts == oracles.decompose_by_deletion(k)
 
 
 @pytest.mark.parametrize("strategy, seed", STRATEGIES)
