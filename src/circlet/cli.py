@@ -25,7 +25,7 @@ from .complexes import (
     validate_regularity,
 )
 from .covers import euler_cover, side_tour, verify_cover
-from .errors import CircletError
+from .errors import CircletError, ParseError
 from .families import FAMILIES, FamilySpec, generate
 from .matroid import decompose_into_circlets
 
@@ -126,6 +126,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
         return _fail(exc, 2)
     try:
         cover = euler_cover(k, strategy=args.strategy, seed=args.seed)
+    except ParseError as exc:  # an input id clashes with a generated one
+        return _fail(exc, 2)
     except CircletError as exc:
         return _fail(exc, 1)
     _emit(serialize.dumps(serialize.cover_to_dict(cover)), args.output)

@@ -46,6 +46,7 @@ from .errors import (
     NotPure,
     NotStronglyConnected,
     OddFacet,
+    ParseError,
     ZeroDimensional,
 )
 from .matroid import decompose_into_circlets, require_circlet
@@ -207,6 +208,7 @@ def build_glued_complex(
     becomes copies s#1 .. s#r (r pairs), each attached exactly like s.
     Every facet f becomes f^, attached to the copy of each of its sides
     whose pair contains f. Side copies end up with degree exactly 2.
+    A kept cell whose id is also a generated id raises ParseError.
     """
     if k.dim == 0:
         raise ZeroDimensional("cannot glue a 0-dimensional complex")
@@ -216,23 +218,31 @@ def build_glued_complex(
         k.cell(cid) for r in range(n - 1) for cid in k.cells_of_dim(r)
     ]
     cell_map: dict[str, str] = {c.id: c.id for c in cells}
+    kept = set(cell_map)
     copy_index: dict[str, tuple[str, int]] = {}
+    copy_of: dict[tuple[str, str], str] = {}  # (side, facet) -> side copy
     for s in k.sides:
         base_boundary = k.boundary(s)
-        for j in range(1, len(g.pairs[s]) + 1):
+        for j, pair in enumerate(g.pairs[s], start=1):
             cid = side_copy_id(s, j)
             cells.append(Cell(cid, n - 1, base_boundary))
             cell_map[cid] = s
             copy_index[cid] = (s, j)
+            for f in pair:
+                copy_of[s, f] = cid
     facet_base: dict[str, str] = {}
     for f in k.facets:
         fid = facet_lift_id(f)
-        boundary = frozenset(
-            side_copy_id(s, g.pair_index(s, f)) for s in k.boundary(f)
-        )
+        boundary = frozenset(copy_of[s, f] for s in k.boundary(f))
         cells.append(Cell(fid, n, boundary))
         cell_map[fid] = f
         facet_base[fid] = f
+    clash = kept.intersection([*copy_index, *facet_base])
+    if clash:
+        raise ParseError(
+            f"cell id {min(clash)!r} is also the id of a side copy or "
+            "facet lift in the cover; rename it"
+        )
     m = build_complex(cells)
     glued = GluedComplex(complex=m, copy_index=copy_index, facet_base=facet_base)
     return glued, CoverMap(source=m, target=k, cell_map=cell_map)

@@ -40,9 +40,85 @@ __all__ = [
 ]
 
 
+_escape = json.encoder.encode_basestring_ascii  # C: quote and escape a str
+_is_str = str.__instancecheck__
+
+
 def dumps(doc: Any) -> str:
-    """Canonical JSON text: 2-space indent, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON text: 2-space indent, ASCII escapes, trailing newline.
+
+    The text is exactly ``json.dumps(doc, indent=2) + "\\n"``. The stdlib
+    encodes with its generator-based Python encoder whenever ``indent``
+    is set, so this writes the same text by plain recursion into one list
+    instead: every string goes through the C escaper, and a list of
+    strings, or a dict of strings, ints and lists of strings (the shapes
+    of cells and map entries), is joined in one piece. Floats, int
+    subclasses, non-string keys and anything else go to ``json.dumps``.
+    """
+    out: list[str] = []
+    _encode(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o: Any, out: list[str], nl: str) -> None:
+    """Append the text of o; ``nl`` is a newline and the indent of its line."""
+    kind = type(o)
+    if kind is str:
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif kind is int:  # int subclasses fall through to json.dumps
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict) and o:
+        inner = nl + "  "
+        sep = "," + inner
+        parts = []
+        for key, value in o.items():
+            if type(key) is not str:
+                break
+            kind = type(value)
+            if kind is str:
+                text = _escape(value)
+            elif kind is int:
+                text = int.__repr__(value)
+            elif kind is list and all(map(_is_str, value)):
+                deeper = inner + "  "
+                items = ("," + deeper).join(map(_escape, value))
+                text = f"[{deeper}{items}{inner}]" if value else "[]"
+            else:
+                break
+            parts.append(f"{_escape(key)}: {text}")
+        else:
+            out.append(f"{{{inner}{sep.join(parts)}{nl}}}")
+            return
+        if not all(map(_is_str, o)):
+            out.append(json.dumps(o, indent=2).replace("\n", nl))
+            return
+        lead = "{" + inner
+        for key, value in o.items():
+            out.append(f"{lead}{_escape(key)}: ")
+            _encode(value, out, inner)
+            lead = sep
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        inner = nl + "  "
+        sep = "," + inner
+        if all(map(_is_str, o)):
+            out.append(f"[{inner}{sep.join(map(_escape, o))}{nl}]")
+            return
+        lead = "[" + inner
+        for item in o:
+            out.append(lead)
+            _encode(item, out, inner)
+            lead = sep
+        out.append(nl + "]")
+    else:  # floats, int and str subclasses, empty containers: one line
+        out.append(json.dumps(o))
 
 
 # ---- complexes --------------------------------------------------------
@@ -64,9 +140,14 @@ def complex_from_dict(doc: Any) -> Complex:
         raw_cells = doc["cells"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"complex document missing key: {exc}") from exc
-    if not isinstance(dimension, int) or not isinstance(raw_cells, list):
+    if (
+        not isinstance(dimension, int)
+        or isinstance(dimension, bool)  # JSON true/false load as ints
+        or not isinstance(raw_cells, list)
+    ):
         raise ParseError("bad types for 'dimension' or 'cells'")
     cells = []
+    append, is_str, make = cells.append, _is_str, Cell
     for entry in raw_cells:
         if not isinstance(entry, dict):
             raise ParseError("each cell must be a JSON object")
@@ -75,13 +156,14 @@ def complex_from_dict(doc: Any) -> Complex:
         except KeyError as exc:
             raise ParseError(f"cell entry missing key {exc}") from exc
         if (
-            not isinstance(cid, str)
+            not is_str(cid)
             or not isinstance(dim, int)
+            or isinstance(dim, bool)
             or not isinstance(boundary, list)
-            or not all(isinstance(b, str) for b in boundary)
+            or not all(map(is_str, boundary))
         ):
             raise ParseError(f"bad cell entry for id {cid!r}")
-        cells.append(Cell(cid, dim, frozenset(boundary)))
+        append(make(cid, dim, frozenset(boundary)))
     k = build_complex(cells)
     if k.dim != dimension:
         raise ParseError(

@@ -63,3 +63,14 @@ def path_graph():
             cell("bc", 1, ["b", "c"]),
         ]
     )
+
+
+def renamed(k, old, new):
+    """The complex k with the cell id old replaced by new everywhere."""
+
+    def name(cid):
+        return new if cid == old else cid
+
+    return build_complex(
+        [cell(name(c.id), c.dim, [name(b) for b in c.boundary]) for c in k]
+    )

@@ -3,10 +3,12 @@
 Everything here trades speed for obviousness: exhaustive enumeration,
 edge deletion, plain breadth-first search. Keep these independent of the
 algorithms under test; they may only read the data structures. The last
-section keeps two algorithms the library replaced by direct forms, built
-from library primitives, as references for the replacements.
+sections keep algorithms the library replaced by direct forms, built
+from library primitives, as references for the replacements, and the
+stdlib encoder the canonical JSON emitter must match.
 """
 
+import json
 from collections import deque
 from itertools import combinations
 
@@ -303,3 +305,11 @@ def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
         cover = merge_covers(cover, nxt, shared[0])
     assert set(cover.target.facets) == set(k.facets)
     return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)
+
+
+# ---- canonical JSON ---------------------------------------------------
+
+
+def dumps_stdlib(doc) -> str:
+    """The canonical text by definition: the stdlib encoder, indent 2."""
+    return json.dumps(doc, indent=2) + "\n"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import builders
 from circlet import cell, serialize
 from circlet.cli import main
 from circlet.complexes import build_complex
@@ -147,6 +148,31 @@ def test_cover_single_triangle_not_even(capsys, tmp_path):
     code, out, _ = run(capsys, "cover", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "NotEven"
+
+
+def test_cover_boolean_dimension_is_a_parse_error(capsys, tmp_path):
+    doc = serialize.complex_to_dict(simplex_skeleton(4, 2))
+    for entry in doc["cells"]:
+        if entry["dim"] == 1:
+            entry["dim"] = True
+    path = tmp_path / "booldim.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "cover", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_cover_id_clash_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "clash.json"
+    k = builders.renamed(simplex_skeleton(4, 2), "1", "1-2#1")
+    serialize.save_complex(k, path)
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "cover", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ParseError"
+    assert "'1-2#1'" in doc["message"]
 
 
 def test_verify_tampered_cover(capsys, tmp_path, delta52_file):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import builders
@@ -17,7 +19,7 @@ from circlet import (
     strong_components,
     verify_cover,
 )
-from circlet.complexes import build_complex
+from circlet.complexes import build_complex, degree_profile
 from circlet.errors import (
     BadParameters,
     DualNotSimple,
@@ -31,9 +33,10 @@ from circlet.errors import (
     NotPure,
     NotStronglyConnected,
     OddFacet,
+    ParseError,
     ZeroDimensional,
 )
-from circlet.families import cycle, random_even
+from circlet.families import cycle, random_even, simplex_skeleton
 
 
 def two_triangles_at_z():
@@ -305,6 +308,17 @@ def test_euler_cover_rejections(delta42):
     )
     with pytest.raises(NotStronglyConnected):
         euler_cover(two_squares)
+
+
+@pytest.mark.parametrize("clash", ["1-2#1", "1-2-3^"])
+def test_input_id_clashing_with_a_generated_id(clash):
+    # vertex 1 takes the id of edge 1-2's first copy, or of a facet lift
+    k = builders.renamed(simplex_skeleton(4, 2), "1", clash)
+    assert degree_profile(k).is_even
+    with pytest.raises(ParseError, match=re.escape(repr(clash))):
+        euler_cover(k)
+    with pytest.raises(ParseError):
+        build_glued_complex(k, canonical_gluing(k))
 
 
 # ---- cover verification -----------------------------------------------

@@ -1,8 +1,12 @@
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
+import oracles
 from circlet import (
     cover_circlet,
     decompose_into_circlets,
@@ -14,6 +18,7 @@ from circlet import (
     verify_cover,
 )
 from circlet.errors import ParseError
+from circlet.families import cycle
 
 
 # ---- complexes --------------------------------------------------------
@@ -30,6 +35,80 @@ def test_dumps_byte_identical(delta52):
     b = serialize.dumps(serialize.complex_to_dict(delta52))
     assert a == b
     assert a.endswith("\n")
+
+
+ODD_TEXT = st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "😀"]
+)
+TEXT = st.text() | ODD_TEXT
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | TEXT
+)
+KEYS = TEXT | st.integers() | st.booleans() | st.none() | st.floats()
+# cells and map entries: strings, ints and lists of strings under str keys
+FLAT = st.dictionaries(
+    TEXT, TEXT | st.integers() | st.lists(TEXT) | st.booleans()
+)
+DOCS = st.recursive(
+    SCALARS | FLAT,
+    lambda kids: (
+        st.lists(kids)
+        | st.tuples(kids, kids)
+        | st.dictionaries(TEXT, kids)
+        | st.dictionaries(KEYS, kids)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=DOCS)
+def test_dumps_matches_the_stdlib_encoder(doc):
+    assert serialize.dumps(doc) == oracles.dumps_stdlib(doc)
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Tag(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        (),
+        [[], {}, [[]], {"a": {}}],
+        {"id": "a", "dim": 0, "boundary": []},
+        {"id": "a", "dim": True, "boundary": ["b", "c"]},
+        {"from": "a", "to": "b", "x": 1.5, "y": ["z"]},
+        {"a": "b", 1: "c", "d": ["e"]},
+        {"outer": [{"k": 1, 2: [3, {"d": [4.5]}]}]},
+        {"a": Level.ONE, "b": [Level.ONE, 2]},
+        {Tag("k"): Tag("v"), "w": [Tag("x")]},
+        {"a": 1, "1": 2, 1: 3, None: 4, True: 5, 2.5: 6},
+        [float("nan"), float("inf"), -0.0, 1e300],
+        ["a", ("b", "c"), None, False, -(10**30)],
+    ],
+)
+def test_dumps_matches_the_stdlib_encoder_on_edge_shapes(doc):
+    assert serialize.dumps(doc) == oracles.dumps_stdlib(doc)
+
+
+def test_dumps_rejects_what_the_stdlib_rejects():
+    for doc in ({"a": object()}, [{1, 2}], {("k",): 1}):
+        with pytest.raises(TypeError):
+            oracles.dumps_stdlib(doc)
+        with pytest.raises(TypeError):
+            serialize.dumps(doc)
 
 
 def test_cells_listed_in_dim_then_id_order(cube):
@@ -69,6 +148,20 @@ def test_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         serialize.load_complex(bad)
+
+
+def test_boolean_dimensions_rejected(tetra):
+    # JSON true is a Python int equal to 1; it must not pass as a dimension
+    doc = serialize.complex_to_dict(tetra)
+    for entry in doc["cells"]:
+        if entry["dim"] == 1:
+            entry["dim"] = True
+    with pytest.raises(ParseError):
+        serialize.complex_from_dict(doc)
+    doc = serialize.complex_to_dict(cycle(3))
+    doc["dimension"] = True
+    with pytest.raises(ParseError):
+        serialize.complex_from_dict(doc)
 
 
 # ---- decompositions ---------------------------------------------------
