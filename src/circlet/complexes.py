@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -95,7 +96,12 @@ class Complex:
     )
 
     def __init__(self, cells: Iterable[Cell]):
-        ordered = sorted(cells, key=lambda c: (c.dim, c.id))
+        # (dim, id) order from one sort by id per dimension, not a tuple key
+        buckets: dict[int, list[Cell]] = {}
+        for c in cells:
+            buckets.setdefault(c.dim, []).append(c)
+        by_id = attrgetter("id")
+        ordered = [c for d in sorted(buckets) for c in sorted(buckets[d], key=by_id)]
         if not ordered:
             raise EmptyComplex("a complex needs at least one cell")
 

@@ -31,7 +31,6 @@ from .complexes import (
     build_complex,
     corner_link,
     degree_profile,
-    induced_subcomplex,
     strong_components,
 )
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
     GluingMismatch,
     InvalidCover,
     NoSharedSide,
+    NotCirclet,
     NotEven,
     NotFacetDisjoint,
     NotPseudomanifold,
@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
     ZeroDimensional,
 )
-from .matroid import decompose_into_circlets, require_circlet
+from .matroid import decompose_into_circlets, require_circlet, validate_decomposition
 
 __all__ = [
     "Gluing",
@@ -126,6 +126,20 @@ class Gluing:
         return sum(len(p) for p in self.pairs.values())
 
 
+def _rng(strategy: str, seed: int) -> random.Random | None:
+    """The shuffling RNG of a gluing strategy: None for ``canonical``."""
+    if strategy not in ("canonical", "seeded"):
+        raise BadParameters(f"unknown strategy {strategy!r}")
+    return random.Random(seed) if strategy == "seeded" else None
+
+
+def _pair_up(over: list[str], rng: random.Random | None) -> list[tuple[str, str]]:
+    """Consecutive facets as sorted pairs; shuffles ``over`` first if rng is set."""
+    if rng is not None:
+        rng.shuffle(over)
+    return [(min(a, b), max(a, b)) for a, b in zip(over[::2], over[1::2])]
+
+
 def canonical_gluing(
     k: Complex, strategy: str = "canonical", seed: int = 0
 ) -> Gluing:
@@ -135,23 +149,11 @@ def canonical_gluing(
     shuffles each side's facet list first with one RNG seeded once, sides
     visited in id order, so a seed fully determines the result.
     """
-    if strategy not in ("canonical", "seeded"):
-        raise BadParameters(f"unknown strategy {strategy!r}")
+    rng = _rng(strategy, seed)
     profile = degree_profile(k)
     if not profile.is_even:
         raise NotEven("gluing needs every side degree positive and even")
-    rng = random.Random(seed) if strategy == "seeded" else None
-    pairs: dict[str, tuple[tuple[str, str], ...]] = {}
-    for s in k.sides:
-        over = list(k.facets_over(s))
-        if rng is not None:
-            rng.shuffle(over)
-        chunk = [
-            (min(over[i], over[i + 1]), max(over[i], over[i + 1]))
-            for i in range(0, len(over), 2)
-        ]
-        pairs[s] = tuple(chunk)
-    return Gluing(pairs=pairs)
+    return Gluing({s: tuple(_pair_up(list(k.facets_over(s)), rng)) for s in k.sides})
 
 
 # ---- glued complexes --------------------------------------------------
@@ -368,13 +370,13 @@ def euler_cover(
 ) -> CoverMap:
     """A pseudomanifold cover of a strongly connected even complex.
 
-    Decomposes into circlets and folds their gluings in breadth-first
-    order over the circlet adjacency graph (circlets are adjacent when
-    they share a side), from the lexicographically smallest circlet: the
-    pair lists are concatenated per side, and each circlet is re-paired
-    with those before it at the smallest side they share, as
-    :func:`merge_covers` does. One build of the folded gluing gives the
-    cover that the chain of merges would.
+    Decomposes into circlets and folds their gluings, read straight off
+    ``k``, in breadth-first order over the circlet adjacency graph (shared
+    sides), circlets taken in lexicographic order: each pairs its facets
+    per side as :func:`canonical_gluing` on it alone would, the pair lists
+    are concatenated per side, and each circlet is re-paired with those
+    before it at the smallest side they share, as :func:`merge_covers`
+    does. One build of the folded gluing gives the merge chain's cover.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -384,27 +386,38 @@ def euler_cover(
     if len(strong_components(k)) != 1:
         raise NotStronglyConnected("cover needs one dual component")
 
-    parts = [tuple(p) for p in decompose_into_circlets(k).parts]
+    # parts by rank, so the smallest index is the lexicographically first
+    parts = sorted(tuple(p) for p in decompose_into_circlets(k).parts)
     if len(parts) == 1:
         return cover_circlet(k, strategy=strategy, seed=seed)
+    report = validate_decomposition(k, parts)  # one incidence matrix
+    if not report.passed:
+        raise NotCirclet(report.violations[0].message)
 
-    subs = [induced_subcomplex(k, p) for p in parts]
-    side_sets = [set(sub.sides) for sub in subs]
-    order = sorted(range(len(parts)), key=parts.__getitem__)
-    fold_order, seen = order[:1], set(order[:1])
+    part_of = {f: i for i, p in enumerate(parts) for f in p}
+    # per part, (side, its facets over the side) in side order
+    sides_of: list[list[tuple[str, list[str]]]] = [[] for _ in parts]
+    parts_at: dict[str, list[int]] = {}
+    for s in k.sides:
+        by_part: dict[int, list[str]] = {}
+        for f in k.facets_over(s):
+            by_part.setdefault(part_of[f], []).append(f)
+        parts_at[s] = list(by_part)
+        for i, over in by_part.items():
+            sides_of[i].append((s, over))
+
+    fold_order, seen = [0], {0}
     for i in fold_order:  # breadth-first: the list is its own queue
-        for j in order:
-            if j not in seen and side_sets[i] & side_sets[j]:
-                seen.add(j)
-                fold_order.append(j)
+        near = {j for s, _ in sides_of[i] for j in parts_at[s]} - seen
+        seen |= near
+        fold_order += sorted(near)
 
     pairs: dict[str, list[tuple[str, str]]] = {}
     for i in fold_order:
-        require_circlet(subs[i])
-        g = canonical_gluing(subs[i], strategy=strategy, seed=seed)
-        piece = {s: list(p) for s, p in g.pairs.items()}
+        rng = _rng(strategy, seed)
+        piece = {s: _pair_up(over, rng) for s, over in sides_of[i]}
         if pairs:
-            shared = min(side_sets[i].intersection(pairs))
+            shared = next(s for s in piece if s in pairs)
             _repair(pairs[shared], piece[shared])
         for s, p in piece.items():
             pairs.setdefault(s, []).extend(p)

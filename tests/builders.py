@@ -2,6 +2,7 @@
 
 from circlet import cell
 from circlet.complexes import build_complex
+from circlet.families import finned_circlet
 
 
 def labeled_cycle(n, tag, share=None):
@@ -74,3 +75,28 @@ def renamed(k, old, new):
     return build_complex(
         [cell(name(c.id), c.dim, [name(b) for b in c.boundary]) for c in k]
     )
+
+
+def finned_chain(copies, k=3, m=4):
+    """Copies of finned_circlet(k, m), each sharing a rim edge with the last.
+
+    Every copy is one circlet whose spine edges lie under m of its own
+    facets, so a seeded gluing shuffles more than two facets there.
+    """
+    base = finned_circlet(k, m)
+    cells = {}
+    for i in range(copies):
+        identify = {}
+        if i:
+            # rim edge o0.0 of this copy is rim edge o1.0 of the one before
+            a, b = sorted(base.boundary("o0.0"))
+            c, d = sorted(base.boundary("o1.0"))
+            last = f"p{i - 1}."
+            identify = {"o0.0": last + "o1.0", a: last + c, b: last + d}
+
+        def name(cid, identify=identify, i=i):
+            return identify.get(cid, f"p{i}.{cid}")
+
+        for x in base:
+            cells.setdefault(name(x.id), cell(name(x.id), x.dim, map(name, x.boundary)))
+    return build_complex(cells.values())

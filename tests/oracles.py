@@ -17,11 +17,16 @@ from circlet import (
     CoverMap,
     DualEdge,
     DualMultigraph,
+    Gluing,
+    build_glued_complex,
+    canonical_gluing,
     cover_circlet,
+    decompose_into_circlets,
     find_even_subset,
     incidence_matrix,
     induced_subcomplex,
     merge_covers,
+    require_circlet,
 )
 
 
@@ -305,6 +310,71 @@ def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
         cover = merge_covers(cover, nxt, shared[0])
     assert set(cover.target.facets) == set(k.facets)
     return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)
+
+
+def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
+    """A cover folded from one induced subcomplex and gluing per circlet.
+
+    Each circlet becomes its own complex, checked by require_circlet and
+    paired by canonical_gluing; circlets are folded in breadth-first order
+    over shared sides (neighbours in sorted-part order, from the smallest
+    part), pair lists concatenated per side, and each one re-paired with
+    those before it at the smallest side they share; one build at the end.
+    """
+    parts = [tuple(p) for p in decompose_into_circlets(k).parts]
+    if len(parts) == 1:
+        return cover_circlet(k, strategy=strategy, seed=seed)
+    subs = [induced_subcomplex(k, p) for p in parts]
+    side_sets = [set(sub.sides) for sub in subs]
+    order = sorted(range(len(parts)), key=parts.__getitem__)
+    fold, seen = order[:1], set(order[:1])
+    for i in fold:
+        for j in order:
+            if j not in seen and side_sets[i] & side_sets[j]:
+                seen.add(j)
+                fold.append(j)
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for i in fold:
+        require_circlet(subs[i])
+        g = canonical_gluing(subs[i], strategy=strategy, seed=seed)
+        piece = {s: list(p) for s, p in g.pairs.items()}
+        if pairs:
+            shared = min(side_sets[i].intersection(pairs))
+            (sigma, tau), (mu, lam) = pairs[shared][0], piece[shared][0]
+            pairs[shared][0] = tuple(sorted((sigma, mu)))
+            piece[shared][0] = tuple(sorted((tau, lam)))
+        for s, p in piece.items():
+            pairs.setdefault(s, []).extend(p)
+    gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
+    return build_glued_complex(k, gluing)[1]
+
+
+# ---- construction order ----------------------------------------------
+
+
+def cells_by_dim_and_id(cells) -> list:
+    """Cells in the order Complex validates them: one sort on (dim, id)."""
+    return sorted(cells, key=lambda c: (c.dim, c.id))
+
+
+def first_repeated_id(cells) -> str | None:
+    """The id DuplicateCellId names: the first repeat in (dim, id) order."""
+    seen = set()
+    for c in cells_by_dim_and_id(cells):
+        if c.id in seen:
+            return c.id
+        seen.add(c.id)
+    return None
+
+
+def first_dangling_cell(cells) -> str | None:
+    """The cell DanglingReference names: the first in (dim, id) order
+    whose boundary lists an id no cell has."""
+    ids = {c.id for c in cells}
+    for c in cells_by_dim_and_id(cells):
+        if not c.boundary <= ids:
+            return c.id
+    return None
 
 
 # ---- canonical JSON ---------------------------------------------------

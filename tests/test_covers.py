@@ -5,11 +5,14 @@ import pytest
 import builders
 import oracles
 from circlet import (
+    CircletDecomposition,
     CoverMap,
     Gluing,
     build_glued_complex,
     canonical_gluing,
     cover_circlet,
+    covers,
+    decompose_into_circlets,
     dual_multigraph,
     euler_characteristic,
     euler_cover,
@@ -308,6 +311,46 @@ def test_euler_cover_rejections(delta42):
     )
     with pytest.raises(NotStronglyConnected):
         euler_cover(two_squares)
+
+
+def _adjacent_parts(k):
+    """The circlets of k, and the first two (in peel order) sharing a side."""
+    parts = list(decompose_into_circlets(k).parts)
+    sides = [set().union(*(k.boundary(f) for f in p)) for p in parts]
+    for j in range(1, len(parts)):
+        for i in range(j):
+            if sides[i] & sides[j]:
+                return parts, i, j
+    raise AssertionError("no two circlets share a side")
+
+
+@pytest.mark.parametrize("damage", ["merge", "split"])
+def test_euler_cover_checks_every_part(monkeypatch, damage):
+    # two adjacent circlets as one part is even but not minimal; a circlet
+    # split in two gives two parts that are not even
+    k = random_even(1, 6)
+    parts, i, j = _adjacent_parts(k)
+    if damage == "merge":
+        bad = [tuple(sorted(parts[i] + parts[j]))]
+        bad += [p for n, p in enumerate(parts) if n not in (i, j)]
+    else:
+        bad = [parts[i][:1], parts[i][1:]]
+        bad += [p for n, p in enumerate(parts) if n != i]
+    assert len(bad) >= 3  # still the multi-circlet branch
+    monkeypatch.setattr(
+        covers, "decompose_into_circlets", lambda _: CircletDecomposition(tuple(bad))
+    )
+    with pytest.raises(NotCirclet):
+        euler_cover(k)
+    with pytest.raises(NotCirclet):
+        euler_cover(k, strategy="seeded", seed=3)
+
+
+def test_euler_cover_rejects_unknown_strategy():
+    with pytest.raises(BadParameters):
+        euler_cover(random_even(1, 4), strategy="shuffled")
+    with pytest.raises(BadParameters):
+        euler_cover(simplex_skeleton(4, 2), strategy="shuffled")
 
 
 @pytest.mark.parametrize("clash", ["1-2#1", "1-2-3^"])

@@ -4,9 +4,13 @@ Lookups read the coface map built at construction; the references scan
 every cell. Closures are computed on request; the reference builds them
 all bottom-up. Circlet extraction is one GF(2) scan, and decomposition
 one scan per peel; the references shrink by deletion. euler_cover
-builds once from a fold over gluings; the reference chains merge_covers.
-Each pair must agree exactly.
+folds the circlets' pairings straight off the complex and builds once;
+the references chain merge_covers (small inputs) or fold one induced
+subcomplex and gluing per circlet (inputs of benchmark size). Each pair
+must agree exactly.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +19,15 @@ from hypothesis import strategies as st
 import builders
 import oracles
 from circlet import (
+    Cell,
+    Complex,
     corner_link,
     decompose_into_circlets,
     euler_cover,
     extract_circlet,
     incidence_matrix,
 )
-from circlet.errors import BadParameters
+from circlet.errors import BadParameters, DanglingReference, DuplicateCellId
 from circlet.families import (
     crosspolytope_skeleton,
     finned_circlet,
@@ -84,6 +90,55 @@ def test_corner_link_matches_scan(case):
             corner_link(k, cid)
 
 
+# ---- construction order ----------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 10**6),
+    size=st.integers(1, 6),
+    cover=st.booleans(),
+    rng=st.randoms(),
+)
+def test_shuffled_cells_build_the_same_complex(n, size, cover, rng):
+    k = random_even(n, size)
+    if cover:
+        k = euler_cover(k).source  # ids like "1-2#10" and "1-2-3^"
+    cells = list(k)
+    rng.shuffle(cells)
+    shuffled = Complex(cells)
+    assert shuffled == k
+    assert list(shuffled) == oracles.cells_by_dim_and_id(cells) == list(k)
+    assert list(shuffled._cofaces.items()) == list(k._cofaces.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 10**6), extra=st.integers(1, 3), rng=st.randoms())
+def test_shuffled_cells_name_the_same_bad_cell(n, extra, rng):
+    cells = list(random_even(n, 3))
+    # repeats of existing ids, some at another dimension
+    repeats = [
+        Cell(c.id, rng.choice([c.dim, 0]), c.boundary)
+        for c in rng.sample(cells, extra)
+    ]
+    broken = cells + repeats
+    rng.shuffle(broken)
+    first = oracles.first_repeated_id(broken)
+    with pytest.raises(DuplicateCellId, match=re.escape(repr(first))):
+        Complex(broken)
+    # new cells of every dimension, each with one missing boundary id
+    lower = [c for c in cells if c.dim < 2]
+    strays = [
+        Cell(f"{c.id}*{i}", c.dim + 1, frozenset({c.id, f"missing{i}"}))
+        for i, c in enumerate(rng.sample(lower, extra))
+    ]
+    broken = cells + strays
+    rng.shuffle(broken)
+    first = oracles.first_dangling_cell(broken)
+    with pytest.raises(DanglingReference, match=re.escape(f"cell {first!r} ")):
+        Complex(broken)
+
+
 # ---- circlet extraction -----------------------------------------------
 
 
@@ -138,8 +193,10 @@ def test_random_even_multigraph_matches_references(strategy, seed, n):
     assert_matches_references(random_even_multigraph(n), strategy, seed)
 
 
-# circlets here share several sides with those folded before them, so the
-# choice of the smallest shared side is exercised
+# circlets in the skeletons share several sides with those folded before
+# them, so the choice of the smallest shared side is exercised; in the
+# finned chain each circlet has sides under four of its own facets, so a
+# seeded pairing depends on each circlet's own shuffle
 @pytest.mark.parametrize("strategy, seed", STRATEGIES)
 @pytest.mark.parametrize(
     "make",
@@ -149,8 +206,38 @@ def test_random_even_multigraph_matches_references(strategy, seed, n):
         lambda: simplex_skeleton(7, 3),
         lambda: crosspolytope_skeleton(4, 2),
         lambda: hypercube_skeleton(5, 2),
+        lambda: builders.finned_chain(3),
     ],
-    ids=["delta5_2", "delta7_2", "delta6_3", "cross4_2", "cube5_2"],
+    ids=[
+        "delta5_2",
+        "delta7_2",
+        "delta6_3",
+        "cross4_2",
+        "cube5_2",
+        "finned_chain3",
+    ],
 )
 def test_skeletons_match_references(make, strategy, seed):
     assert_matches_references(make(), strategy, seed)
+
+
+# fold_by_merges rebuilds the union per circlet, too slow at these sizes
+FOLD_SIZE_CASES = {
+    **{
+        f"random_even{s}_{n}": (lambda s=s, n=n: random_even(s, n))
+        for n in (40, 80)
+        for s in (1, 2, 3)
+    },
+    "delta8_3": lambda: simplex_skeleton(9, 3),
+    "cube6_3": lambda: hypercube_skeleton(6, 3),
+    "finned_chain8": lambda: builders.finned_chain(8),
+}
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("case", sorted(FOLD_SIZE_CASES))
+def test_fold_sizes_match_subcomplex_fold(case, strategy, seed):
+    k = FOLD_SIZE_CASES[case]()
+    assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
+        oracles.fold_by_subcomplexes(k, strategy, seed)
+    )
