@@ -1,11 +1,12 @@
-"""Time decompose_into_circlets and euler_cover up a size ladder.
+"""Time decompose_into_circlets and euler_cover up two size ladders.
 
 Runs both on random_even(1, n) for n = 80, 160, 320, 640, 1280 circlets
-and reports per rung the best of N runs of each, the log-log slope of
-that time against the facet count from the rung below, and the first 16
-hex digits of the sha256 of the cover's canonical JSON. Every repeat
-checks that the decomposition and the cover's JSON are the same as on
-the first run.
+and on simplex_skeleton(v, 2) for v = 20, 30, 40, whose long independent
+prefixes keep the elimination basis large. Reports per rung the best of
+N runs of each, the log-log slope of that time against the facet count
+from the rung below in the same ladder, and the first 16 hex digits of
+the sha256 of the decomposition's and of the cover's canonical JSON.
+Every repeat checks that both are the same as on the first run.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """
@@ -16,9 +17,12 @@ import math
 import time
 
 from circlet import decompose_into_circlets, euler_cover, serialize
-from circlet.families import random_even
+from circlet.families import random_even, simplex_skeleton
 
-SIZES = (80, 160, 320, 640, 1280)
+LADDERS = (
+    [(f"random_even(1, {n})", random_even, (1, n)) for n in (80, 160, 320, 640, 1280)],
+    [(f"simplex_skeleton({v}, 2)", simplex_skeleton, (v, 2)) for v in (20, 30, 40)],
+)
 
 
 def timed(fn, *args):
@@ -33,6 +37,10 @@ def slope(t, t_prev, f, f_prev):
     return f"{math.log(t / t_prev) / math.log(f / f_prev):.2f}"
 
 
+def sha(doc):
+    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()[:16]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
@@ -40,32 +48,35 @@ def main():
     repeat = max(1, args.repeat)
 
     print(
-        f"{'input':<22} {'facets':>7} {'circlets':>8} {'decompose':>10} "
-        f"{'slope':>6} {'cover':>10} {'slope':>6}  sha256"
+        f"{'input':<24} {'facets':>7} {'circlets':>8} {'decompose':>10} "
+        f"{'slope':>6} {'cover':>10} {'slope':>6}  {'parts sha256':<16}  "
+        "cover sha256"
     )
-    prev = None
-    for n in SIZES:
-        name = f"random_even(1, {n})"
-        k = random_even(1, n)
-        facets = len(k.facets)
-        t_dec = t_cov = math.inf
-        parts = digest = None
-        for _ in range(repeat):
-            a, got = timed(decompose_into_circlets, k)
-            b, cover = timed(euler_cover, k)
-            text = serialize.dumps(serialize.cover_to_dict(cover))
-            sha = hashlib.sha256(text.encode()).hexdigest()[:16]
-            assert parts in (None, got.parts), f"{name}: parts differ"
-            assert digest in (None, sha), f"{name}: cover JSON differs"
-            parts, digest = got.parts, sha
-            t_dec, t_cov = min(t_dec, a), min(t_cov, b)
-        p_dec, p_cov, p_facets = prev or (None, None, None)
-        print(
-            f"{name:<22} {facets:>7} {len(parts):>8} {t_dec * 1e3:>8.1f}ms "
-            f"{slope(t_dec, p_dec, facets, p_facets):>6} {t_cov * 1e3:>8.1f}ms "
-            f"{slope(t_cov, p_cov, facets, p_facets):>6}  {digest}"
-        )
-        prev = (t_dec, t_cov, facets)
+    for ladder in LADDERS:
+        prev = None
+        for name, family, params in ladder:
+            k = family(*params)
+            facets = len(k.facets)
+            t_dec = t_cov = math.inf
+            digests = None
+            for _ in range(repeat):
+                a, got = timed(decompose_into_circlets, k)
+                b, cover = timed(euler_cover, k)
+                now = (
+                    sha(serialize.decomposition_to_dict(got)),
+                    sha(serialize.cover_to_dict(cover)),
+                )
+                assert digests in (None, now), f"{name}: output differs"
+                digests = now
+                t_dec, t_cov = min(t_dec, a), min(t_cov, b)
+            p_dec, p_cov, p_facets = prev or (None, None, None)
+            print(
+                f"{name:<24} {facets:>7} {len(got.parts):>8} "
+                f"{t_dec * 1e3:>8.1f}ms {slope(t_dec, p_dec, facets, p_facets):>6} "
+                f"{t_cov * 1e3:>8.1f}ms {slope(t_cov, p_cov, facets, p_facets):>6}  "
+                f"{digests[0]}  {digests[1]}"
+            )
+            prev = (t_dec, t_cov, facets)
 
 
 if __name__ == "__main__":

@@ -6,18 +6,20 @@ operation is a left-to-right dependency scan that either certifies the
 columns independent or stops at the first column that is a GF(2)
 combination of earlier ones and reports that combination.
 
-The scan works on Python ints: each column becomes one int bitset when
-the scan reaches it, and the basis is keyed by each vector's lowest set
-bit. A new column is XORed with the basis vector at its lowest bit until
-that bit is a new pivot or the column is zero. The earlier columns are
-independent, so the reported combination is the unique expression of the
-dependent column in them.
+The scan works on Python ints: each column becomes one int bitset, and
+the basis is keyed by each vector's lowest set bit (its pivot) and holds
+the vector with its combination over column positions. A new column is
+XORed with the basis vector at its lowest bit until that bit is a new
+pivot or the column is zero. The earlier columns are independent, so the
+reported combination is the unique expression of the dependent column in
+them. A basis outlives one scan: :func:`drop_column` takes one column out
+of it, and the scan can resume past the last column it reached.
 """
 
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,10 +28,16 @@ __all__ = [
     "pack_from_indices",
     "xor_select",
     "bit_indices",
+    "int_columns",
+    "scan",
+    "drop_column",
     "first_dependency",
 ]
 
 _WORD = 64
+
+# pivot (lowest set bit, as an int) -> (vector, combination of columns)
+Basis = dict[int, tuple[int, int]]
 
 
 def active_backend() -> str:
@@ -72,16 +80,69 @@ def xor_select(packed: np.ndarray, which: Sequence[int]) -> np.ndarray:
     return np.bitwise_xor.reduce(packed[list(which)], axis=0)
 
 
-def bit_indices(vec: np.ndarray) -> list[int]:
-    """Indices of the set bits of one packed vector, ascending."""
+def bit_indices(vec: int | np.ndarray) -> list[int]:
+    """Indices of the set bits of an int bitset or one packed vector, ascending."""
+    if isinstance(vec, np.ndarray):
+        vec = next(int_columns(vec.reshape(1, -1)))
     out: list[int] = []
-    for w, word in enumerate(vec):
-        x = int(word)
-        while x:
-            low = x & -x
-            out.append((w << 6) + low.bit_length() - 1)
-            x ^= low
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
     return out
+
+
+def int_columns(cols: np.ndarray) -> Iterator[int]:
+    """Each column of a packed matrix as one int bitset, made as it is reached."""
+    n_cols, n_words = cols.shape
+    row_bytes = 8 * n_words
+    flat = np.ascontiguousarray(cols, dtype="<u8").reshape(-1)
+    data = memoryview(flat.view(np.uint8))
+    from_bytes = int.from_bytes
+    for j in range(n_cols):
+        yield from_bytes(data[j * row_bytes : (j + 1) * row_bytes], "little")
+
+
+def scan(columns: Iterable[int], basis: Basis, start: int = 0) -> tuple[int, int]:
+    """Add columns start, start + 1, ... to the basis until one depends on it.
+
+    Returns (j, combination) for the first column j that reduces to zero,
+    the combination an int bitset over column positions that holds j, or
+    (-1, 0) once every column went in. Independent columns stay in the
+    basis; the dependent one does not.
+    """
+    get = basis.get
+    for j, v in enumerate(columns, start):
+        c = 1 << j
+        while v:
+            low = v & -v
+            hit = get(low)
+            if hit is None:
+                basis[low] = (v, c)
+                break
+            v ^= hit[0]
+            c ^= hit[1]
+        else:
+            return j, c
+    return -1, 0
+
+
+def drop_column(basis: Basis, x: int) -> None:
+    """Take column x out of the basis, which must span it.
+
+    Of the vectors whose combination holds x, the one with the largest
+    pivot is XORed into the others and dropped. Each other vector's lowest
+    bit lies below that pivot, so no pivot moves; afterwards no
+    combination holds x, and the vectors stay independent and span the
+    remaining columns.
+    """
+    holders = [low for low, (_, c) in basis.items() if c >> x & 1]
+    top = max(holders)
+    v_top, c_top = basis.pop(top)
+    for low in holders:
+        if low != top:
+            v, c = basis[low]
+            basis[low] = (v ^ v_top, c ^ c_top)
 
 
 def first_dependency(cols: np.ndarray) -> tuple[int, np.ndarray]:
@@ -90,24 +151,8 @@ def first_dependency(cols: np.ndarray) -> tuple[int, np.ndarray]:
     The combination is packed over column indices and always contains the
     reported column itself.
     """
-    n_cols, n_words = cols.shape
-    row_bytes = 8 * n_words
-    flat = np.ascontiguousarray(cols, dtype="<u8").reshape(-1)
-    data = memoryview(flat.view(np.uint8))
-    from_bytes = int.from_bytes
-    # lowest set bit -> (vector, combination of columns giving it)
-    basis: dict[int, tuple[int, int]] = {}
-    for j in range(n_cols):
-        v = from_bytes(data[j * row_bytes : (j + 1) * row_bytes], "little")
-        c = 1 << j
-        while v:
-            low = v & -v
-            hit = basis.get(low)
-            if hit is None:
-                basis[low] = (v, c)
-                break
-            v ^= hit[0]
-            c ^= hit[1]
-        else:
-            return j, _pack_ints([c], _n_words(n_cols))[0]
-    return -1, np.zeros(_n_words(n_cols), dtype=np.uint64)
+    n_words = _n_words(cols.shape[0])
+    j, c = scan(int_columns(cols), {})
+    if j < 0:
+        return -1, np.zeros(n_words, dtype=np.uint64)
+    return j, _pack_ints([c], n_words)[0]

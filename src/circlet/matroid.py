@@ -12,8 +12,10 @@ every even complex splits into facet-disjoint circlets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, reduce
+from itertools import islice
+from operator import xor
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +41,8 @@ class IncidenceMatrixGF2:
     """Side rows by facet columns over GF(2), bit-packed per column.
 
     Rows and columns are sorted by id; ``packed[j]`` holds column j as a
-    bitset over row indices (64 rows per uint64 word).
+    bitset over row indices (64 rows per uint64 word), and ``columns[j]``
+    holds it as one int bitset.
     """
 
     side_ids: tuple[str, ...]
@@ -49,6 +52,10 @@ class IncidenceMatrixGF2:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.side_ids), len(self.facet_ids)
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        return tuple(gf2.int_columns(self.packed))
 
     @cached_property
     def _columns(self) -> dict[str, int]:
@@ -90,9 +97,8 @@ def incidence_matrix(k: Complex) -> IncidenceMatrixGF2:
 def is_even_subset(m: IncidenceMatrixGF2, facet_ids: Iterable[str]) -> bool:
     """True iff the set is nonempty and its columns XOR to zero."""
     idx = m.column_index(facet_ids)
-    if not idx:
-        return False
-    return not gf2.xor_select(m.packed, idx).any()
+    cols = m.columns
+    return bool(idx) and not reduce(xor, (cols[j] for j in idx))
 
 
 def find_even_subset(
@@ -119,14 +125,28 @@ def extract_circlet(
 ) -> frozenset[str]:
     """A minimal even subset (a circlet) of an even facet set S, in one scan.
 
-    Returns find_even_subset(S - {min S}), or S when that finds nothing.
-    The scan returns a fundamental circuit, hence minimal; if it finds
-    nothing, S is minimal, as a proper even T puts T or S - T in S - {min S}.
+    Returns the even subset :func:`_smaller_even_subset` finds, or S when it
+    finds none.
     """
-    current = frozenset(facet_ids)
+    current = sorted(set(facet_ids))
     if not is_even_subset(m, current):
         raise NotEven("starting facet set is not even")
-    return find_even_subset(m, current - {min(current)}) or current
+    return frozenset(_smaller_even_subset(m, current) or current)
+
+
+def _smaller_even_subset(
+    m: IncidenceMatrixGF2, part: Sequence[str]
+) -> list[str] | None:
+    """A proper even subset of an even facet set in id order, or None.
+
+    One scan over ``part[1:]``: its first dependency is a fundamental
+    circuit, hence minimal, and is returned in id order. If there is none,
+    the part is minimal, as a proper even T puts T or part - T in part[1:].
+    """
+    cols = m.columns
+    rest = m.column_index(part[1:])
+    j, combo = gf2.scan((cols[q] for q in rest), {}, 1)
+    return None if j < 0 else [part[b] for b in gf2.bit_indices(combo)]
 
 
 @dataclass(frozen=True)
@@ -142,14 +162,18 @@ class CircletDecomposition:
 def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     """Peel circlets off an even complex until no facet remains.
 
-    ``alive`` holds the column positions of the remaining facets after the
-    smallest one, which is never peeled. Each peel is one scan of those
-    columns: the first dependency is a fundamental circuit, and its bits
-    index into ``alive``. Every circuit XORs to zero, so the remainder
-    stays even; once a scan finds no dependency, the smallest facet with
+    One elimination pass over the columns after the smallest facet, which
+    is never peeled, in id order. When column j depends on the basis of
+    the remaining columns before it, its combination is their fundamental
+    circuit C, the next part. Each column of C other than j is dropped
+    from the basis (:func:`gf2.drop_column`), which then spans the
+    remaining columns before j + 1, and the scan resumes there. That is
+    the dependency a fresh scan of the remaining columns would stop at,
+    so the parts and their order are those of rescanning from the first
+    column after every peel. Every circuit XORs to zero, so the remainder
+    stays even; once the scan finds no dependency, the smallest facet with
     what is left is the last circlet, and the one evenness check is made
-    there. Columns are in id order, so the parts are exactly those of
-    repeated :func:`extract_circlet`.
+    there.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -157,19 +181,23 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     if not profile.is_even:
         raise NotEven("decomposition needs every side degree positive even")
     m = incidence_matrix(k)
-    facets = m.facet_ids
-    alive = list(range(1, len(facets)))
+    facets, cols = m.facet_ids, m.columns
+    rest = islice(cols, 1, None)  # one iterator: each scan resumes at j + 1
+    basis: gf2.Basis = {}
+    peeled: set[int] = set()
     parts: list[tuple[str, ...]] = []
-    while alive:
-        j, combo = gf2.first_dependency(m.packed[alive])
+    j = 0
+    while True:
+        j, combo = gf2.scan(rest, basis, j + 1)
         if j < 0:
             break
-        peeled = [alive[b] for b in gf2.bit_indices(combo)]
-        parts.append(tuple(facets[p] for p in peeled))
-        gone = set(peeled)
-        alive = [p for p in alive if p not in gone]
-    last = [0, *alive]
-    if gf2.xor_select(m.packed, last).any():
+        circuit = gf2.bit_indices(combo)
+        parts.append(tuple(facets[p] for p in circuit))
+        peeled.update(circuit)
+        for x in circuit[:-1]:  # the last is j, which never entered the basis
+            gf2.drop_column(basis, x)
+    last = [p for p in range(len(facets)) if p not in peeled]
+    if reduce(xor, (cols[p] for p in last)):
         raise NotEven("starting facet set is not even")
     parts.append(tuple(facets[p] for p in last))
     return CircletDecomposition(parts=tuple(parts))
@@ -227,14 +255,13 @@ def validate_decomposition(
                 Violation("even", part, f"part {i} is not an even subset")
             )
             continue
-        shrunk = extract_circlet(m, part)
-        if shrunk != frozenset(part):
+        smaller = _smaller_even_subset(m, part)
+        if smaller is not None:
             violations.append(
                 Violation(
                     "minimal",
                     part,
-                    f"part {i} properly contains the even subset "
-                    f"{sorted(shrunk)}",
+                    f"part {i} properly contains the even subset {smaller}",
                 )
             )
     return ValidationReport.from_violations(violations)
@@ -243,8 +270,8 @@ def validate_decomposition(
 def require_circlet(k: Complex) -> IncidenceMatrixGF2:
     """Assert a complex is a circlet; returns its incidence matrix.
 
-    A circlet is pure, even, and minimal: extracting from the full facet
-    set returns the full facet set. Raises NotCirclet otherwise.
+    A circlet is pure, even, and minimal: no proper nonempty facet subset
+    is even. Raises NotCirclet otherwise.
     """
     try:
         profile = degree_profile(k)
@@ -255,7 +282,6 @@ def require_circlet(k: Complex) -> IncidenceMatrixGF2:
     if not profile.is_even:
         raise NotCirclet("not even, so not a circlet")
     m = incidence_matrix(k)
-    full = frozenset(k.facets)
-    if extract_circlet(m, full) != full:
+    if _smaller_even_subset(m, m.facet_ids) is not None:
         raise NotCirclet("a proper even facet subset exists")
     return m

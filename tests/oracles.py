@@ -18,11 +18,14 @@ from circlet import (
     DualEdge,
     DualMultigraph,
     Gluing,
+    ValidationReport,
+    Violation,
     build_glued_complex,
     canonical_gluing,
     cover_circlet,
     decompose_into_circlets,
     find_even_subset,
+    gf2,
     incidence_matrix,
     induced_subcomplex,
     merge_covers,
@@ -281,6 +284,95 @@ def decompose_by_deletion(k: Complex) -> tuple[tuple[str, ...], ...]:
         parts.append(tuple(sorted(circlet)))
         remaining -= circlet
     return tuple(parts)
+
+
+def decompose_by_rescan(k: Complex) -> tuple[tuple[str, ...], ...]:
+    """Peel circlets off an even complex with one fresh scan per peel.
+
+    ``alive`` holds the column positions of the remaining facets after the
+    smallest one; each peel scans those columns from the first, and the
+    first dependency's bits index into ``alive``. What is left after the
+    last dependency, with the smallest facet, is the last part.
+    """
+    m = incidence_matrix(k)
+    facets = m.facet_ids
+    alive = list(range(1, len(facets)))
+    parts = []
+    while alive:
+        j, combo = gf2.first_dependency(m.packed[alive])
+        if j < 0:
+            break
+        peeled = [alive[b] for b in gf2.bit_indices(combo)]
+        parts.append(tuple(facets[p] for p in peeled))
+        gone = set(peeled)
+        alive = [p for p in alive if p not in gone]
+    last = [0, *alive]
+    assert not gf2.xor_select(m.packed, last).any()
+    parts.append(tuple(facets[p] for p in last))
+    return tuple(parts)
+
+
+def validate_by_extraction(k: Complex, parts) -> ValidationReport:
+    """validate_decomposition with packed XORs and one extraction per part.
+
+    Each part S is even when its packed columns XOR to zero, and minimal
+    when find_even_subset finds nothing in S - {min S}; otherwise the
+    report names what it found.
+    """
+    listed = [tuple(sorted(set(p))) for p in parts]
+    violations = []
+    seen: set[str] = set()
+    top = set(k.facets)
+    for i, part in enumerate(listed):
+        overlap = seen & set(part)
+        if overlap:
+            violations.append(
+                Violation(
+                    "partition",
+                    tuple(sorted(overlap)),
+                    f"part {i} reuses facets {sorted(overlap)}",
+                )
+            )
+        stray = set(part) - top
+        if stray:
+            violations.append(
+                Violation(
+                    "partition",
+                    tuple(sorted(stray)),
+                    f"part {i} lists non-facets {sorted(stray)}",
+                )
+            )
+        seen |= set(part)
+    missing = top - seen
+    if missing:
+        violations.append(
+            Violation(
+                "partition",
+                tuple(sorted(missing)),
+                f"facets not covered: {sorted(missing)}",
+            )
+        )
+    if violations:
+        return ValidationReport.from_violations(violations)
+    m = incidence_matrix(k)
+    for i, part in enumerate(listed):
+        idx = m.column_index(part)
+        if not idx or gf2.xor_select(m.packed, idx).any():
+            violations.append(
+                Violation("even", part, f"part {i} is not an even subset")
+            )
+            continue
+        shrunk = find_even_subset(m, set(part) - {part[0]})
+        if shrunk is not None:
+            violations.append(
+                Violation(
+                    "minimal",
+                    part,
+                    f"part {i} properly contains the even subset "
+                    f"{sorted(shrunk)}",
+                )
+            )
+    return ValidationReport.from_violations(violations)
 
 
 def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,3 +170,54 @@ def test_backend_agreement_property(case):
     n_rows, cols = case
     packed = gf2.pack_from_indices(cols, n_rows=n_rows)
     check_scan_result(packed)
+
+
+# ---- a basis kept across scans: dropping columns ----------------------
+
+
+def check_basis(basis: gf2.Basis, cols: list[int]):
+    """Vectors keyed by their lowest bit, independent, and each the XOR
+    of the columns its combination names."""
+    for low, (v, c) in basis.items():
+        assert v & -v == low
+        acc = 0
+        for b in gf2.bit_indices(c):
+            acc ^= cols[b]
+        assert acc == v
+    assert dense_rank_gf2([v for v, _ in basis.values()]) == len(basis)
+
+
+def test_scan_resumes_on_a_kept_basis():
+    cols = [0b011, 0b110, 0b100, 0b101, 0b100]
+    basis: gf2.Basis = {}
+    j, combo = gf2.scan(cols, basis)
+    assert (j, gf2.bit_indices(combo)) == (3, [0, 1, 3])
+    gf2.drop_column(basis, 0)
+    gf2.drop_column(basis, 1)
+    assert basis == {0b100: (0b100, 1 << 2)}
+    j, combo = gf2.scan(cols[4:], basis, 4)
+    assert (j, gf2.bit_indices(combo)) == (4, [2, 4])
+    assert gf2.scan([], basis, 5) == (-1, 0)
+
+
+def test_drop_column_random_matrices():
+    rng = random.Random(4321)
+    for _ in range(80):
+        n_rows = rng.randrange(1, 70)
+        cols = [rng.getrandbits(n_rows) for _ in range(rng.randrange(1, 40))]
+        basis: gf2.Basis = {}
+        j, _ = gf2.scan(cols, basis)
+        prefix = list(range(len(cols) if j < 0 else j))
+        assert len(basis) == len(prefix)
+        check_basis(basis, cols)
+        gone = 0
+        for x in rng.sample(prefix, len(prefix)):
+            pivots = set(basis)
+            gf2.drop_column(basis, x)
+            gone |= 1 << x
+            assert len(basis) == len(pivots) - 1 and set(basis) < pivots
+            assert not any(c & gone for _, c in basis.values())
+            check_basis(basis, cols)
+            # the kept vectors span the remaining prefix columns
+            rest = [cols[p] for p in prefix if not gone >> p & 1]
+            assert dense_rank_gf2(rest + [v for v, _ in basis.values()]) == len(rest)

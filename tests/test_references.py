@@ -3,13 +3,16 @@
 Lookups read the coface map built at construction; the references scan
 every cell. Closures are computed on request; the reference builds them
 all bottom-up. Circlet extraction is one GF(2) scan, and decomposition
-one scan per peel; the references shrink by deletion. euler_cover
+one elimination pass; the references shrink by deletion or rescan after
+every peel, and the part checks of validate_decomposition are matched
+against one extraction per part on mutated partitions. euler_cover
 folds the circlets' pairings straight off the complex and builds once;
 the references chain merge_covers (small inputs) or fold one induced
 subcomplex and gluing per circlet (inputs of benchmark size). Each pair
 must agree exactly.
 """
 
+import random
 import re
 
 import pytest
@@ -26,6 +29,7 @@ from circlet import (
     euler_cover,
     extract_circlet,
     incidence_matrix,
+    validate_decomposition,
 )
 from circlet.errors import BadParameters, DanglingReference, DuplicateCellId
 from circlet.families import (
@@ -177,6 +181,91 @@ def test_many_small_circlets_match_deletion():
     # 220 facets peel into 35 circlets of at most 8 facets each
     k = simplex_skeleton(12, 2)
     assert decompose_into_circlets(k).parts == oracles.decompose_by_deletion(k)
+
+
+# the skeletons' long independent prefixes keep many vectors in the basis,
+# so each peel drops columns from combinations that several vectors share
+RESCAN_CASES = {
+    "delta11_2": lambda: simplex_skeleton(12, 2),
+    "delta19_2": lambda: simplex_skeleton(20, 2),
+    "delta8_3": lambda: simplex_skeleton(9, 3),
+    "cube6_3": lambda: hypercube_skeleton(6, 3),
+    "cross5_3": lambda: crosspolytope_skeleton(5, 3),
+    "finned20_8": lambda: finned_circlet(20, 8),
+    "finned_chain8": lambda: builders.finned_chain(8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESCAN_CASES))
+def test_one_pass_peels_match_rescan(case):
+    k = RESCAN_CASES[case]()
+    assert decompose_into_circlets(k).parts == oracles.decompose_by_rescan(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(1, 60))
+def test_random_even_peels_match_rescan(n, size):
+    k = random_even(n, size)
+    assert decompose_into_circlets(k).parts == oracles.decompose_by_rescan(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 10**6))
+def test_random_even_multigraph_peels_match_rescan(n):
+    k = random_even_multigraph(n)
+    assert decompose_into_circlets(k).parts == oracles.decompose_by_rescan(k)
+
+
+def mutated_partitions(parts, facets, rng):
+    """Wrong partitions of the facets, each from one edit of the right one."""
+    parts = [list(p) for p in parts]
+    out = []
+    if len(parts) > 1:
+        i, j = rng.sample(range(len(parts)), 2)
+        merged = [p for t, p in enumerate(parts) if t not in (i, j)]
+        out.append([parts[i] + parts[j], *merged])  # two parts merged
+        a, b = rng.choice(parts[i]), rng.choice(parts[j])
+        swapped = [list(p) for p in parts]
+        swapped[i][swapped[i].index(a)] = b  # facets swapped across parts
+        swapped[j][swapped[j].index(b)] = a
+        out.append(swapped)
+        out.append(parts[:i] + parts[i + 1 :])  # a part left out
+        reused = [list(p) for p in parts]
+        reused[j].append(a)  # a facet in two parts
+        out.append(reused)
+    i = rng.randrange(len(parts))
+    if len(parts[i]) > 1:
+        cut = rng.randrange(1, len(parts[i]))
+        shuffled = rng.sample(parts[i], len(parts[i]))
+        split = [shuffled[:cut], shuffled[cut:]]
+        out.append(parts[:i] + split + parts[i + 1 :])  # a part split
+    out.append([*parts, ["no-such-facet"]])  # a stray id
+    out.append([*parts, []])  # an empty part
+    out.append([list(facets)])  # everything as one part
+    return out
+
+
+PART_CHECK_CASES = {
+    **{f"random_even{s}_6": (lambda s=s: random_even(s, 6)) for s in range(8)},
+    "multigraph3": lambda: random_even_multigraph(3),
+    "delta5_2": lambda: simplex_skeleton(6, 2),
+    "delta7_2": lambda: simplex_skeleton(8, 2),
+    "delta6_3": lambda: simplex_skeleton(7, 3),
+    "cube5_2": lambda: hypercube_skeleton(5, 2),
+    "finned_chain3": lambda: builders.finned_chain(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PART_CHECK_CASES))
+def test_part_checks_match_extraction(case):
+    k = PART_CHECK_CASES[case]()
+    parts = decompose_into_circlets(k).parts
+    rng = random.Random(len(k.facets))
+    partitions = [parts]
+    for _ in range(6):
+        partitions += mutated_partitions(parts, k.facets, rng)
+    for p in partitions:
+        assert validate_decomposition(k, p) == oracles.validate_by_extraction(k, p)
 
 
 @pytest.mark.parametrize("strategy, seed", STRATEGIES)
