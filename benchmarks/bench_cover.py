@@ -1,12 +1,13 @@
-"""Time decompose_into_circlets and euler_cover up two size ladders.
+"""Time decompose_into_circlets, euler_cover and verify_cover up two ladders.
 
-Runs both on random_even(1, n) for n = 80, 160, 320, 640, 1280 circlets
+Runs them on random_even(1, n) for n = 80, 160, 320, 640, 1280 circlets
 and on simplex_skeleton(v, 2) for v = 20, 30, 40, whose long independent
-prefixes keep the elimination basis large. Reports per rung the best of
-N runs of each, the log-log slope of that time against the facet count
-from the rung below in the same ladder, and the first 16 hex digits of
-the sha256 of the decomposition's and of the cover's canonical JSON.
-Every repeat checks that both are the same as on the first run.
+prefixes keep the elimination basis large; verify_cover checks the cover
+euler_cover built. Reports per rung the best of N runs of each, the
+log-log slope of that time against the facet count from the rung below
+in the same ladder, and the first 16 hex digits of the sha256 of the
+canonical JSON of the decomposition, the cover and the verify report.
+Every repeat checks that all three are the same as on the first run.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """
@@ -16,7 +17,7 @@ import hashlib
 import math
 import time
 
-from circlet import decompose_into_circlets, euler_cover, serialize
+from circlet import decompose_into_circlets, euler_cover, serialize, verify_cover
 from circlet.families import random_even, simplex_skeleton
 
 LADDERS = (
@@ -49,34 +50,38 @@ def main():
 
     print(
         f"{'input':<24} {'facets':>7} {'circlets':>8} {'decompose':>10} "
-        f"{'slope':>6} {'cover':>10} {'slope':>6}  {'parts sha256':<16}  "
-        "cover sha256"
+        f"{'slope':>6} {'cover':>10} {'slope':>6} {'verify':>10} {'slope':>6}  "
+        f"{'parts sha256':<16}  {'cover sha256':<16}  report sha256"
     )
     for ladder in LADDERS:
         prev = None
         for name, family, params in ladder:
             k = family(*params)
             facets = len(k.facets)
-            t_dec = t_cov = math.inf
+            times = [math.inf] * 3
             digests = None
             for _ in range(repeat):
                 a, got = timed(decompose_into_circlets, k)
                 b, cover = timed(euler_cover, k)
+                c, report = timed(verify_cover, cover)
                 now = (
                     sha(serialize.decomposition_to_dict(got)),
                     sha(serialize.cover_to_dict(cover)),
+                    sha(serialize.report_to_dict(report)),
                 )
                 assert digests in (None, now), f"{name}: output differs"
                 digests = now
-                t_dec, t_cov = min(t_dec, a), min(t_cov, b)
-            p_dec, p_cov, p_facets = prev or (None, None, None)
-            print(
-                f"{name:<24} {facets:>7} {len(got.parts):>8} "
-                f"{t_dec * 1e3:>8.1f}ms {slope(t_dec, p_dec, facets, p_facets):>6} "
-                f"{t_cov * 1e3:>8.1f}ms {slope(t_cov, p_cov, facets, p_facets):>6}  "
-                f"{digests[0]}  {digests[1]}"
+                times = [min(t, x) for t, x in zip(times, (a, b, c))]
+            p_times, p_facets = prev or ((None,) * 3, None)
+            cols = "".join(
+                f" {t * 1e3:>8.1f}ms {slope(t, p, facets, p_facets):>6}"
+                for t, p in zip(times, p_times)
             )
-            prev = (t_dec, t_cov, facets)
+            print(
+                f"{name:<24} {facets:>7} {len(got.parts):>8}{cols}  "
+                + "  ".join(digests)
+            )
+            prev = (times, facets)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Machine-readable JSON goes to stdout (or the -o file when given); a one
 line human summary goes to stderr. Exit codes: 0 success, 1 analysis
 failure (a failed check or an unmet precondition such as a complex that
-is not even), 2 input error (unreadable, unparsable or malformed input,
-bad generator parameters).
+is not even), 2 input or output error (unreadable, unparsable or malformed
+input, bad generator parameters, an -o file that cannot be written).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .complexes import (
     validate_regularity,
 )
 from .covers import euler_cover, side_tour, verify_cover
-from .errors import CircletError, ParseError
+from .errors import CircletError, OutputError, ParseError
 from .families import FAMILIES, FamilySpec, generate
 from .matroid import decompose_into_circlets
 
@@ -34,7 +34,10 @@ __all__ = ["main"]
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -249,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        return _fail(exc, 2)
 
 
 if __name__ == "__main__":

@@ -189,6 +189,10 @@ class Complex:
     def boundary(self, cell_id: str) -> frozenset[str]:
         return self._cells[cell_id].boundary
 
+    def cofaces(self, cell_id: str) -> tuple[str, ...]:
+        """Sorted cells one dimension up whose boundary holds cell_id."""
+        return self._cofaces.get(cell_id, ())
+
     def closure(self, cell_id: str) -> frozenset[str]:
         """All cells under cell_id, itself included; memoized per cell."""
         got = self._closure.get(cell_id)

@@ -29,7 +29,7 @@ from .complexes import (
     ValidationReport,
     Violation,
     build_complex,
-    corner_link,
+    corner_link,  # unused here; callers may import it from circlet.covers
     degree_profile,
     strong_components,
 )
@@ -437,15 +437,24 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
     bijection, (f) the map is cellular (dimension kept, boundary of the
     image is the image of the boundary), (g) each target side has
     degree/2 preimages, (h) the link of every source corner is 2-regular.
+
+    Rule (h) reads the coface tables, not :func:`corner_link`: in the link
+    of a corner, a facet over a side s above it meets the other
+    ``len(cofaces(s)) - 1`` facets over s, so its degree is that sum over
+    the sides above the corner it lies over. Facets whose degree is not 2
+    are reported in id order.
     """
     m, k, phi = cover.source, cover.target, cover.cell_map
     n = k.dim
     v: list[Violation] = []
 
     structural_ok = True
+    image, target_cell = phi.get, k.cell
     for c in m:
-        img = phi.get(c.id)
-        if img is None or img not in k:
+        img = image(c.id)
+        try:
+            tc = target_cell(img)
+        except KeyError:  # a missing image (None) too
             v.append(
                 Violation(
                     "f-cellular", (c.id,), f"{c.id!r} has no valid image"
@@ -453,19 +462,17 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
             )
             structural_ok = False
             continue
-        target_cell = k.cell(img)
-        if target_cell.dim != c.dim:
+        if tc.dim != c.dim:
             v.append(
                 Violation(
                     "f-cellular",
                     (c.id, img),
-                    f"{c.id!r} (dim {c.dim}) maps to dim {target_cell.dim}",
+                    f"{c.id!r} (dim {c.dim}) maps to dim {tc.dim}",
                 )
             )
             structural_ok = False
             continue
-        image_boundary = {phi.get(b) for b in c.boundary}
-        if image_boundary != set(target_cell.boundary):
+        if set(map(image, c.boundary)) != tc.boundary:
             v.append(
                 Violation(
                     "f-cellular",
@@ -496,8 +503,8 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
                 )
             )
 
-    low_m = {c.id for c in m if c.dim <= n - 2}
-    low_k = {c.id for c in k if c.dim <= n - 2}
+    low_m = {cid for r in range(n - 1) for cid in m.cells_of_dim(r)}
+    low_k = {cid for r in range(n - 1) for cid in k.cells_of_dim(r)}
     if low_m != low_k:
         diff = sorted(low_m ^ low_k)
         v.append(
@@ -551,22 +558,22 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
                     )
 
     if m.dim >= 2:
+        cofaces = m.cofaces
         for corner in m.corners:
-            link = corner_link(m, corner)
-            bad = {}
-            for e in link.edges:
-                bad[e.left] = bad.get(e.left, 0) + 1
-                bad[e.right] = bad.get(e.right, 0) + 1
-            for f in link.vertices:
-                if bad.get(f, 0) != 2:
-                    v.append(
-                        Violation(
-                            "h-corner-link",
-                            (corner, f),
-                            f"corner {corner!r} has degree {bad.get(f, 0)} "
-                            f"at facet {f!r}, expected 2",
-                        )
+            degree: dict[str, int] = {}
+            for s in cofaces(corner):
+                over = cofaces(s)
+                for f in over:
+                    degree[f] = degree.get(f, 0) + len(over) - 1
+            for f in sorted(f for f, d in degree.items() if d != 2):
+                v.append(
+                    Violation(
+                        "h-corner-link",
+                        (corner, f),
+                        f"corner {corner!r} has degree {degree[f]} "
+                        f"at facet {f!r}, expected 2",
                     )
+                )
     return ValidationReport.from_violations(v)
 
 

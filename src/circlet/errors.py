@@ -34,6 +34,7 @@ __all__ = [
     "OddFacet",
     "BadParameters",
     "ParseError",
+    "OutputError",
 ]
 
 
@@ -143,3 +144,7 @@ class BadParameters(CircletError):
 
 class ParseError(CircletError):
     """Input file or JSON document does not match the expected format."""
+
+
+class OutputError(CircletError):
+    """An output file cannot be written."""

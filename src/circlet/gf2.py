@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "active_backend",
+    "pack_ints",
     "pack_from_indices",
     "xor_select",
     "bit_indices",
@@ -45,12 +46,9 @@ def active_backend() -> str:
     return "python-int"
 
 
-def _n_words(n_bits: int) -> int:
-    return max(1, -(-n_bits // _WORD))
-
-
-def _pack_ints(values: Sequence[int], n_words: int) -> np.ndarray:
-    """Pack int bitsets into a writable (len(values), n_words) uint64 array."""
+def pack_ints(values: Sequence[int], n_rows: int) -> np.ndarray:
+    """Int bitsets over n_rows rows as a writable (len(values), n_words) array."""
+    n_words = max(1, -(-n_rows // _WORD))
     n_bytes = 8 * n_words
     raw = bytearray(b"".join(v.to_bytes(n_bytes, "little") for v in values))
     words = np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
@@ -70,7 +68,7 @@ def pack_from_indices(
                 raise ValueError(f"row index {r} outside [0, {n_rows})")
             v |= 1 << r
         ints.append(v)
-    return _pack_ints(ints, _n_words(n_rows))
+    return pack_ints(ints, n_rows)
 
 
 def xor_select(packed: np.ndarray, which: Sequence[int]) -> np.ndarray:
@@ -151,8 +149,5 @@ def first_dependency(cols: np.ndarray) -> tuple[int, np.ndarray]:
     The combination is packed over column indices and always contains the
     reported column itself.
     """
-    n_words = _n_words(cols.shape[0])
-    j, c = scan(int_columns(cols), {})
-    if j < 0:
-        return -1, np.zeros(n_words, dtype=np.uint64)
-    return j, _pack_ints([c], n_words)[0]
+    j, c = scan(int_columns(cols), {})  # (-1, 0) packs to zeros
+    return j, pack_ints([c], cols.shape[0])[0]

@@ -38,24 +38,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncidenceMatrixGF2:
-    """Side rows by facet columns over GF(2), bit-packed per column.
+    """Side rows by facet columns over GF(2), one int bitset per column.
 
-    Rows and columns are sorted by id; ``packed[j]`` holds column j as a
-    bitset over row indices (64 rows per uint64 word), and ``columns[j]``
-    holds it as one int bitset.
+    Rows and columns are sorted by id; ``columns[j]`` holds column j as a
+    bitset over row indices, and ``packed[j]``, made on first use, holds
+    it bit-packed (64 rows per uint64 word).
     """
 
     side_ids: tuple[str, ...]
     facet_ids: tuple[str, ...]
-    packed: np.ndarray
+    columns: tuple[int, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.side_ids), len(self.facet_ids)
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(gf2.int_columns(self.packed))
+    def packed(self) -> np.ndarray:
+        return gf2.pack_ints(self.columns, len(self.side_ids))
 
     @cached_property
     def _columns(self) -> dict[str, int]:
@@ -76,7 +76,7 @@ class IncidenceMatrixGF2:
         n_rows, n_cols = self.shape
         out = np.zeros((n_rows, n_cols), dtype=np.uint8)
         for j in range(n_cols):
-            for r in gf2.bit_indices(self.packed[j]):
+            for r in gf2.bit_indices(self.columns[j]):
                 out[r, j] = 1
         return out
 
@@ -87,11 +87,10 @@ def incidence_matrix(k: Complex) -> IncidenceMatrixGF2:
         raise ZeroDimensional("0-dimensional complexes have no sides")
     sides = k.sides
     facets = k.facets
-    row = {s: i for i, s in enumerate(sides)}
-    packed = gf2.pack_from_indices(
-        [[row[s] for s in k.boundary(f)] for f in facets], len(sides)
-    )
-    return IncidenceMatrixGF2(side_ids=sides, facet_ids=facets, packed=packed)
+    bit = {s: 1 << i for i, s in enumerate(sides)}
+    # a boundary names each side once, so the sum of its bits is their OR
+    columns = tuple(sum(bit[s] for s in k.boundary(f)) for f in facets)
+    return IncidenceMatrixGF2(side_ids=sides, facet_ids=facets, columns=columns)
 
 
 def is_even_subset(m: IncidenceMatrixGF2, facet_ids: Iterable[str]) -> bool:

@@ -22,6 +22,7 @@ from circlet import (
     Violation,
     build_glued_complex,
     canonical_gluing,
+    corner_link,
     cover_circlet,
     decompose_into_circlets,
     find_even_subset,
@@ -30,6 +31,7 @@ from circlet import (
     induced_subcomplex,
     merge_covers,
     require_circlet,
+    strong_components,
 )
 
 
@@ -439,6 +441,154 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
             pairs.setdefault(s, []).extend(p)
     gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
     return build_glued_complex(k, gluing)[1]
+
+
+# ---- cover verification through corner links -----------------------
+
+
+def verify_by_links(cover: CoverMap) -> ValidationReport:
+    """verify_cover with one corner_link multigraph per corner for rule (h).
+
+    Each link's edges are tallied per endpoint and every vertex whose
+    tally is not 2 is reported, vertices in id order.
+
+    Rules, reported independently: (a) source pure, (b) every source side
+    degree 2, (c) source strongly connected, (d) source and target agree
+    below the side level with the map the identity there, (e) facets in
+    bijection, (f) the map is cellular (dimension kept, boundary of the
+    image is the image of the boundary), (g) each target side has
+    degree/2 preimages, (h) the link of every source corner is 2-regular.
+    """
+    m, k, phi = cover.source, cover.target, cover.cell_map
+    n = k.dim
+    v: list[Violation] = []
+
+    structural_ok = True
+    for c in m:
+        img = phi.get(c.id)
+        if img is None or img not in k:
+            v.append(
+                Violation(
+                    "f-cellular", (c.id,), f"{c.id!r} has no valid image"
+                )
+            )
+            structural_ok = False
+            continue
+        target_cell = k.cell(img)
+        if target_cell.dim != c.dim:
+            v.append(
+                Violation(
+                    "f-cellular",
+                    (c.id, img),
+                    f"{c.id!r} (dim {c.dim}) maps to dim {target_cell.dim}",
+                )
+            )
+            structural_ok = False
+            continue
+        image_boundary = {phi.get(b) for b in c.boundary}
+        if image_boundary != set(target_cell.boundary):
+            v.append(
+                Violation(
+                    "f-cellular",
+                    (c.id, img),
+                    f"boundary image of {c.id!r} differs from boundary of "
+                    f"{img!r}",
+                )
+            )
+
+    if not m.is_pure:
+        v.append(Violation("a-source-pure", (), "source is not pure"))
+    if m.dim >= 1:
+        for s, d in m.side_degrees.items():
+            if d != 2:
+                v.append(
+                    Violation(
+                        "b-side-degree",
+                        (s,),
+                        f"source side {s!r} has degree {d}, expected 2",
+                    )
+                )
+        if m.is_pure and len(strong_components(m)) != 1:
+            v.append(
+                Violation(
+                    "c-source-connected",
+                    (),
+                    "source dual multigraph is disconnected",
+                )
+            )
+
+    low_m = {c.id for c in m if c.dim <= n - 2}
+    low_k = {c.id for c in k if c.dim <= n - 2}
+    if low_m != low_k:
+        diff = sorted(low_m ^ low_k)
+        v.append(
+            Violation(
+                "d-base-skeleton",
+                tuple(diff[:6]),
+                "cells below the side level differ between source and "
+                "target",
+            )
+        )
+    else:
+        for cid in sorted(low_m):
+            if phi.get(cid) != cid or m.cell(cid) != k.cell(cid):
+                v.append(
+                    Violation(
+                        "d-base-skeleton",
+                        (cid,),
+                        f"{cid!r} is not carried over identically",
+                    )
+                )
+
+    if structural_ok:
+        facet_images = sorted(phi[f] for f in m.facets if phi[f] in k)
+        if facet_images != sorted(set(facet_images)) or set(
+            facet_images
+        ) != set(k.facets):
+            v.append(
+                Violation(
+                    "e-facet-bijection",
+                    (),
+                    "facet map is not a bijection onto the target facets",
+                )
+            )
+
+        if n >= 1:
+            preimages: dict[str, int] = {s: 0 for s in k.sides}
+            for s_hat in m.sides:
+                img = phi[s_hat]
+                if img in preimages:
+                    preimages[img] += 1
+            for s in k.sides:
+                deg = k.side_degrees[s]
+                if deg % 2 != 0 or preimages[s] != deg // 2:
+                    v.append(
+                        Violation(
+                            "g-preimage-count",
+                            (s,),
+                            f"side {s!r} of degree {deg} has "
+                            f"{preimages[s]} preimages",
+                        )
+                    )
+
+    if m.dim >= 2:
+        for corner in m.corners:
+            link = corner_link(m, corner)
+            bad = {}
+            for e in link.edges:
+                bad[e.left] = bad.get(e.left, 0) + 1
+                bad[e.right] = bad.get(e.right, 0) + 1
+            for f in link.vertices:
+                if bad.get(f, 0) != 2:
+                    v.append(
+                        Violation(
+                            "h-corner-link",
+                            (corner, f),
+                            f"corner {corner!r} has degree {bad.get(f, 0)} "
+                            f"at facet {f!r}, expected 2",
+                        )
+                    )
+    return ValidationReport.from_violations(v)
 
 
 # ---- construction order ----------------------------------------------

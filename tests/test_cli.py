@@ -280,6 +280,22 @@ def test_shared_parser_matches_fresh_processes(
     assert codes == [2, 0, 0, 0, 0]
 
 
+# ---- unwritable -o paths ----------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["cover", "decompose", "export-dual", "generate"])
+@pytest.mark.parametrize("into", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, cube_file, command, into):
+    target = tmp_path / "missing" / "out" if into == "missing directory" else tmp_path
+    args = ["simplex_skeleton", "4", "2"] if command == "generate" else [cube_file]
+    code, out, err = run(capsys, command, *args, "-o", str(target))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "OutputError"
+    assert doc["message"].startswith(f"cannot write {target}: ")
+    assert "Traceback" not in err and err.startswith("error: OutputError")
+
+
 # ---- export-dual ------------------------------------------------------
 
 

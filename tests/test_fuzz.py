@@ -6,13 +6,16 @@ id is swapped, at one place or wherever it occurs, for another id or for
 one that looks generated (``s#2``, ``f^``). Each document goes through the loaders, then each of
 decompose_into_circlets, euler_cover, verify_cover and side_tour that
 applies to it. A call may return or raise a CircletError; anything else
-escaping from the library fails the test.
+escaping from the library fails the test. Every mangled cover document
+that loads must also get the same report from verify_cover as from the
+corner-link reference in oracles.py.
 """
 
 import copy
 import random
 
 import builders
+import oracles
 from circlet import (
     decompose_into_circlets,
     euler_cover,
@@ -139,3 +142,26 @@ def test_mangled_documents_raise_only_circlet_errors(tmp_path):
         for stage, exc in run(kind, mangle(doc, rng), tmp_path):
             escapes.append(f"document {i} ({kind}), {stage}: {exc!r}")
     assert not escapes, "\n".join(escapes[:10])
+
+
+def outcome(fn, cover):
+    try:
+        return fn(cover)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_mangled_covers_verify_as_the_link_reference(tmp_path):
+    rng = random.Random(20261018)
+    docs = [doc for kind, doc in bases() if kind == "cover"]
+    loaded = 0
+    for i in range(DOCUMENTS):
+        doc = mangle(docs[i % len(docs)], rng)
+        try:
+            cover = serialize.cover_from_dict(doc, base_dir=tmp_path)
+        except CircletError:
+            continue
+        loaded += 1
+        got = outcome(verify_cover, cover)
+        assert got == outcome(oracles.verify_by_links, cover), f"document {i}"
+    assert loaded > DOCUMENTS // 10  # 314 of the 1500 load

@@ -10,6 +10,7 @@ from circlet import (
     decompose_into_circlets,
     extract_circlet,
     find_even_subset,
+    gf2,
     incidence_matrix,
     is_even_subset,
     require_circlet,
@@ -23,7 +24,7 @@ from circlet.errors import (
     UnknownFacet,
     ZeroDimensional,
 )
-from circlet.families import cycle
+from circlet.families import cycle, simplex_skeleton
 
 DELTA52_PARTS = (
     ("1-2-4", "1-2-5", "1-3-4", "1-3-5", "2-3-4", "2-3-5"),
@@ -60,6 +61,15 @@ def test_incidence_matches_boundaries(octahedron):
     for j, f in enumerate(m.facet_ids):
         rows = {m.side_ids[i] for i in np.nonzero(dense[:, j])[0]}
         assert rows == set(octahedron.boundary(f))
+
+
+def test_packed_matches_int_columns():
+    m = incidence_matrix(simplex_skeleton(13, 2))  # 78 sides: two words
+    assert m.packed.dtype == np.uint64
+    assert m.packed.shape == (len(m.facet_ids), 2)
+    assert [gf2.bit_indices(row) for row in m.packed] == [
+        gf2.bit_indices(c) for c in m.columns
+    ]
 
 
 def test_column_index_unknown_facet(tetra):

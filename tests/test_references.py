@@ -8,8 +8,10 @@ every peel, and the part checks of validate_decomposition are matched
 against one extraction per part on mutated partitions. euler_cover
 folds the circlets' pairings straight off the complex and builds once;
 the references chain merge_covers (small inputs) or fold one induced
-subcomplex and gluing per circlet (inputs of benchmark size). Each pair
-must agree exactly.
+subcomplex and gluing per circlet (inputs of benchmark size).
+verify_cover counts corner-link degrees off the coface tables; the
+reference builds each corner's link multigraph, on covers, mutated cell
+maps and swapped ends. Each pair must agree exactly.
 """
 
 import random
@@ -24,12 +26,14 @@ import oracles
 from circlet import (
     Cell,
     Complex,
+    CoverMap,
     corner_link,
     decompose_into_circlets,
     euler_cover,
     extract_circlet,
     incidence_matrix,
     validate_decomposition,
+    verify_cover,
 )
 from circlet.errors import BadParameters, DanglingReference, DuplicateCellId
 from circlet.families import (
@@ -330,3 +334,72 @@ def test_fold_sizes_match_subcomplex_fold(case, strategy, seed):
     assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
         oracles.fold_by_subcomplexes(k, strategy, seed)
     )
+
+
+# ---- cover verification ----------------------------------------------
+
+
+def mutated_covers(cover, rng, rounds=4):
+    """Wrong covers, each from one edit of the right one.
+
+    Per round, at a random dimension, one cell's image is swapped with
+    another cell's of that dimension, replaced by a random target cell,
+    deleted, or replaced by an unknown id. Then source and target trade
+    places, with the map kept and inverted, so the source is the base
+    complex, whose corner links are seldom 2-regular.
+    """
+    cm = dict(cover.cell_map)
+    m = cover.source
+    targets = [c.id for c in cover.target]
+    maps = []
+    for _ in range(rounds):
+        r = rng.choice([r for r in range(m.dim + 1) if len(m.cells_of_dim(r)) > 1])
+        a, b = rng.sample(m.cells_of_dim(r), 2)
+        swapped = {**cm, a: cm[b], b: cm[a]}
+        reassigned = {**cm, a: rng.choice(targets)}
+        deleted = {x: y for x, y in cm.items() if x != a}
+        unknown = {**cm, a: "no-such-cell"}
+        maps += [swapped, reassigned, deleted, unknown]
+    out = [CoverMap(cover.source, cover.target, x) for x in maps]
+    inverse = {y: x for x, y in sorted(cm.items())}
+    out += [CoverMap(cover.target, cover.source, x) for x in (cm, inverse)]
+    return out
+
+
+def assert_verify_matches_links(cover, seed):
+    rng = random.Random(seed)
+    for c in [cover, *mutated_covers(cover, rng)]:
+        assert verify_cover(c) == oracles.verify_by_links(c)
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(1, 12))
+def test_random_even_verify_matches_links(strategy, seed, n, size):
+    assert_verify_matches_links(euler_cover(random_even(n, size), strategy, seed), n)
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6))
+def test_random_even_multigraph_verify_matches_links(strategy, seed, n):
+    k = random_even_multigraph(n)
+    assert_verify_matches_links(euler_cover(k, strategy, seed), n)
+
+
+VERIFY_CASES = {
+    "delta5_2": lambda: simplex_skeleton(6, 2),
+    "delta6_3": lambda: simplex_skeleton(7, 3),
+    "cube5_2": lambda: hypercube_skeleton(5, 2),
+    "cross4_2": lambda: crosspolytope_skeleton(4, 2),
+    "finned3_4": lambda: finned_circlet(3, 4),
+    "finned_chain3": lambda: builders.finned_chain(3),
+    "grid3": lambda: triangular_grid(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_skeleton_verify_matches_links(case):
+    k = VERIFY_CASES[case]()
+    for strategy, seed in STRATEGIES:
+        assert_verify_matches_links(euler_cover(k, strategy, seed), seed)
