@@ -29,7 +29,7 @@ from .complexes import (
     ValidationReport,
     Violation,
     build_complex,
-    corner_link,  # unused here; callers may import it from circlet.covers
+    corner_link,  # not used here; kept because perfbench/tracer.py wraps it
     degree_profile,
     strong_components,
 )
@@ -99,31 +99,6 @@ class Gluing:
     """
 
     pairs: Mapping[str, tuple[tuple[str, str], ...]]
-
-    def _side_pairs(self, side_id: str) -> tuple[tuple[str, str], ...]:
-        try:
-            return self.pairs[side_id]
-        except KeyError:
-            raise GluingMismatch(f"no pairs recorded for side {side_id!r}")
-
-    def partner(self, side_id: str, facet_id: str) -> str:
-        """The facet paired with facet_id around side_id."""
-        for a, b in self._side_pairs(side_id):
-            if facet_id == a:
-                return b
-            if facet_id == b:
-                return a
-        raise GluingMismatch(f"{facet_id!r} not paired around {side_id!r}")
-
-    def pair_index(self, side_id: str, facet_id: str) -> int:
-        """1-based position of the pair containing facet_id."""
-        for j, (a, b) in enumerate(self._side_pairs(side_id), start=1):
-            if facet_id in (a, b):
-                return j
-        raise GluingMismatch(f"{facet_id!r} not paired around {side_id!r}")
-
-    def total_pairs(self) -> int:
-        return sum(len(p) for p in self.pairs.values())
 
 
 def _rng(strategy: str, seed: int) -> random.Random | None:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import islice
 from operator import xor
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from . import gf2
 from .complexes import Complex, ValidationReport, Violation, degree_profile
@@ -41,8 +39,7 @@ class IncidenceMatrixGF2:
     """Side rows by facet columns over GF(2), one int bitset per column.
 
     Rows and columns are sorted by id; ``columns[j]`` holds column j as a
-    bitset over row indices, and ``packed[j]``, made on first use, holds
-    it bit-packed (64 rows per uint64 word).
+    bitset over row indices.
     """
 
     side_ids: tuple[str, ...]
@@ -52,10 +49,6 @@ class IncidenceMatrixGF2:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.side_ids), len(self.facet_ids)
-
-    @cached_property
-    def packed(self) -> np.ndarray:
-        return gf2.pack_ints(self.columns, len(self.side_ids))
 
     @cached_property
     def _columns(self) -> dict[str, int]:
@@ -69,15 +62,6 @@ class IncidenceMatrixGF2:
             if j is None:
                 raise UnknownFacet(f"{f!r} is not a facet column")
             out.append(j)
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Unpacked uint8 matrix, rows by columns. For tests and display."""
-        n_rows, n_cols = self.shape
-        out = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        for j in range(n_cols):
-            for r in gf2.bit_indices(self.columns[j]):
-                out[r, j] = 1
         return out
 
 
@@ -111,9 +95,7 @@ def find_even_subset(
     """
     chosen = sorted(set(facet_ids))
     idx = m.column_index(chosen)
-    if not idx:
-        return None
-    j, combo = gf2.first_dependency(m.packed[idx])
+    j, combo = gf2.first_dependency([m.columns[q] for q in idx])
     if j < 0:
         return None
     return frozenset(chosen[b] for b in gf2.bit_indices(combo))

@@ -10,7 +10,9 @@ stdlib encoder the canonical JSON emitter must match.
 
 import json
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from circlet import (
     Complex,
@@ -297,11 +299,11 @@ def decompose_by_rescan(k: Complex) -> tuple[tuple[str, ...], ...]:
     last dependency, with the smallest facet, is the last part.
     """
     m = incidence_matrix(k)
-    facets = m.facet_ids
+    facets, cols = m.facet_ids, m.columns
     alive = list(range(1, len(facets)))
     parts = []
     while alive:
-        j, combo = gf2.first_dependency(m.packed[alive])
+        j, combo = gf2.first_dependency([cols[p] for p in alive])
         if j < 0:
             break
         peeled = [alive[b] for b in gf2.bit_indices(combo)]
@@ -309,15 +311,15 @@ def decompose_by_rescan(k: Complex) -> tuple[tuple[str, ...], ...]:
         gone = set(peeled)
         alive = [p for p in alive if p not in gone]
     last = [0, *alive]
-    assert not gf2.xor_select(m.packed, last).any()
+    assert not reduce(xor, (cols[p] for p in last), 0)
     parts.append(tuple(facets[p] for p in last))
     return tuple(parts)
 
 
 def validate_by_extraction(k: Complex, parts) -> ValidationReport:
-    """validate_decomposition with packed XORs and one extraction per part.
+    """validate_decomposition with column XORs and one extraction per part.
 
-    Each part S is even when its packed columns XOR to zero, and minimal
+    Each part S is even when its int columns XOR to zero, and minimal
     when find_even_subset finds nothing in S - {min S}; otherwise the
     report names what it found.
     """
@@ -359,7 +361,7 @@ def validate_by_extraction(k: Complex, parts) -> ValidationReport:
     m = incidence_matrix(k)
     for i, part in enumerate(listed):
         idx = m.column_index(part)
-        if not idx or gf2.xor_select(m.packed, idx).any():
+        if not idx or reduce(xor, (m.columns[q] for q in idx)):
             violations.append(
                 Violation("even", part, f"part {i} is not an even subset")
             )

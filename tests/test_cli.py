@@ -408,3 +408,13 @@ def test_installed_console_script(tmp_path, delta52):
     )
     assert script.returncode == 0
     assert json.loads(script.stdout)["is_even"] is True
+
+
+def test_cli_import_leaves_numpy_out():
+    # the package has no runtime dependency; a fresh interpreter shows it
+    probe = "import sys, circlet.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

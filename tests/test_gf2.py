@@ -1,7 +1,5 @@
 import random
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,20 +28,14 @@ def first_dependent_index(columns: list[int]) -> int:
     return -1
 
 
-def column_ints(packed: np.ndarray) -> list[int]:
-    out = []
-    for row in packed:
-        acc = 0
-        for w, word in enumerate(row):
-            acc |= int(word) << (64 * w)
-        out.append(acc)
-    return out
+def columns_from_rows(rows_per_col) -> list[int]:
+    """Each column's row-index list as one int bitset."""
+    return [sum(1 << r for r in set(rows)) for rows in rows_per_col]
 
 
-def check_scan_result(packed: np.ndarray):
+def check_scan_result(cols: list[int]):
     """The scan matches the dense oracle and reports a zero combination."""
-    j, combo = gf2.first_dependency(packed)
-    cols = column_ints(packed)
+    j, combo = gf2.first_dependency(cols)
     assert j == first_dependent_index(cols)
     if j >= 0:
         support = gf2.bit_indices(combo)
@@ -55,87 +47,58 @@ def check_scan_result(packed: np.ndarray):
             acc ^= cols[b]
         assert acc == 0
     else:
-        assert not combo.any()
+        assert combo == 0
     return j
 
 
 # ---- fixed cases ------------------------------------------------------
 
 
-def test_pack_from_indices_layout():
-    packed = gf2.pack_from_indices([[0, 63], [64], []], n_rows=65)
-    assert packed.shape == (3, 2)
-    assert packed[0, 0] == (1 | (1 << 63))
-    assert packed[1, 1] == 1
-    assert packed[2].sum() == 0
-
-
-def test_pack_accepts_numpy_indices_and_repeated_rows():
-    rows = np.array([70, 3, 70, 3, 0], dtype=np.int64)
-    packed = gf2.pack_from_indices([rows, rows[:1]], n_rows=130)
-    assert packed.dtype == np.uint64
-    assert packed.shape == (2, 3)
-    assert gf2.bit_indices(packed[0]) == [0, 3, 70]
-    assert gf2.bit_indices(packed[1]) == [70]
-
-
-def test_pack_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        gf2.pack_from_indices([[5]], n_rows=5)
-    with pytest.raises(ValueError):
-        gf2.pack_from_indices([[-1]], n_rows=5)
-
-
-def test_xor_select_and_bit_indices():
-    packed = gf2.pack_from_indices([[0], [1], [0, 1]], n_rows=2)
-    assert gf2.xor_select(packed, [0, 1, 2]).sum() == 0
-    assert gf2.bit_indices(gf2.xor_select(packed, [0, 1])) == [0, 1]
-    assert gf2.xor_select(packed, []).sum() == 0
+def test_bit_indices():
+    assert gf2.bit_indices(0) == []
+    assert gf2.bit_indices(0b1011) == [0, 1, 3]
+    assert gf2.bit_indices(1 | 1 << 63 | 1 << 64 | 1 << 200) == [0, 63, 64, 200]
 
 
 def test_independent_columns_report_no_dependency():
-    packed = gf2.pack_from_indices([[0], [1], [2]], n_rows=3)
-    assert check_scan_result(packed) == -1
+    cols = columns_from_rows([[0], [1], [2]])
+    assert check_scan_result(cols) == -1
 
 
 def test_duplicate_column_is_first_dependency():
-    packed = gf2.pack_from_indices([[0, 1], [2], [0, 1]], n_rows=3)
-    j = check_scan_result(packed)
+    cols = columns_from_rows([[0, 1], [2], [0, 1]])
+    j = check_scan_result(cols)
     assert j == 2
-    _, combo = gf2.first_dependency(packed)
+    _, combo = gf2.first_dependency(cols)
     assert gf2.bit_indices(combo) == [0, 2]
 
 
 def test_zero_column_is_immediately_dependent():
-    packed = gf2.pack_from_indices([[], [0]], n_rows=1)
-    j = check_scan_result(packed)
+    cols = columns_from_rows([[], [0]])
+    j = check_scan_result(cols)
     assert j == 0
-    _, combo = gf2.first_dependency(packed)
+    _, combo = gf2.first_dependency(cols)
     assert gf2.bit_indices(combo) == [0]
 
 
 def test_triangle_boundary_dependency():
     # edges ab, bc, ca as rows; the three columns sum to zero
-    packed = gf2.pack_from_indices([[0, 2], [0, 1], [1, 2]], n_rows=3)
-    j = check_scan_result(packed)
+    cols = columns_from_rows([[0, 2], [0, 1], [1, 2]])
+    j = check_scan_result(cols)
     assert j == 2
-    _, combo = gf2.first_dependency(packed)
+    _, combo = gf2.first_dependency(cols)
     assert gf2.bit_indices(combo) == [0, 1, 2]
 
 
 def test_empty_matrix():
-    empty = np.zeros((0, 1), dtype=np.uint64)
-    j, combo = gf2.first_dependency(empty)
-    assert j == -1
-    assert not combo.any()
+    assert gf2.first_dependency([]) == (-1, 0)
 
 
 def test_scan_across_word_boundaries():
-    # 130 rows forces three words per column
-    cols = [[i, i + 1] for i in range(129)]
-    cols.append([0, 129])
-    packed = gf2.pack_from_indices(cols, n_rows=130)
-    j = check_scan_result(packed)
+    # 130 rows: columns wider than two 64-bit words
+    rows = [[i, i + 1] for i in range(129)]
+    rows.append([0, 129])
+    j = check_scan_result(columns_from_rows(rows))
     assert j == 129
 
 
@@ -143,17 +106,16 @@ def test_scan_across_word_boundaries():
 
 
 def test_backend_agreement_random_matrices():
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     for _ in range(60):
-        n_rows = int(rng.integers(1, 200))
-        n_cols = int(rng.integers(1, 40))
+        n_rows = rng.randrange(1, 200)
+        n_cols = rng.randrange(1, 40)
         density = rng.uniform(0.02, 0.5)
-        cols = []
-        for _ in range(n_cols):
-            mask = rng.random(n_rows) < density
-            cols.append(list(np.nonzero(mask)[0]))
-        packed = gf2.pack_from_indices(cols, n_rows=n_rows)
-        check_scan_result(packed)
+        rows = [
+            [r for r in range(n_rows) if rng.random() < density]
+            for _ in range(n_cols)
+        ]
+        check_scan_result(columns_from_rows(rows))
 
 
 @settings(max_examples=120, deadline=None)
@@ -167,9 +129,8 @@ def test_backend_agreement_random_matrices():
     )
 )
 def test_backend_agreement_property(case):
-    n_rows, cols = case
-    packed = gf2.pack_from_indices(cols, n_rows=n_rows)
-    check_scan_result(packed)
+    _, rows = case
+    check_scan_result(columns_from_rows(rows))
 
 
 # ---- a basis kept across scans: dropping columns ----------------------
