@@ -8,6 +8,7 @@ re-record after a deliberate change of output:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from circlet.cli import main
+from circlet.cli import build_parser, main
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 
@@ -42,6 +43,8 @@ COMMANDS = {
     "cover": ["cover"],
     "cover-seeded-7": ["cover", "--strategy", "seeded", "--seed", "7"],
     "tour": ["tour"],
+    "validate": ["validate"],
+    "export-dual": ["export-dual"],
 }
 
 
@@ -78,6 +81,16 @@ def outputs(spec: list[str], workdir: Path) -> dict[str, dict]:
 def test_golden_outputs(name, tmp_path):
     expected = json.loads(MANIFEST.read_text())[name]
     assert outputs(INPUTS[name], tmp_path) == expected
+
+
+def test_every_subcommand_has_a_golden_entry():
+    # generate makes each input and verify reads the canonical cover
+    (sub,) = (
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    pinned = {argv[0] for argv in COMMANDS.values()} | {"generate", "verify"}
+    assert set(sub.choices) == pinned
 
 
 if __name__ == "__main__":
