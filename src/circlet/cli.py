@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Machine-readable JSON goes to stdout (or the -o file when given); a one
-line human summary goes to stderr. Exit codes: 0 success, 1 analysis
-failure (a failed check or an unmet precondition such as a complex that
-is not even), 2 input or output error (unreadable, unparsable or malformed
-input, bad generator parameters, an -o file that cannot be written).
+line human summary goes to stderr. Each subcommand is a loader, which
+reads its input, and a handler, which returns the text, the summary and
+the exit code and catches nothing; :func:`main` alone maps errors to exit
+codes. Exit codes: 0 success, 1 analysis failure (a failed check or an
+unmet precondition such as a complex that is not even), 2 input or output
+error (unreadable, unparsable or malformed input, bad generator
+parameters, an input id that clashes with a generated one, an -o file
+that cannot be written). On an error, stdout carries
+``{"error": <class>, "message": ...}``.
 """
 
 from __future__ import annotations
@@ -18,18 +23,21 @@ from typing import Any
 from . import serialize
 from .complexes import (
     Complex,
+    ValidationReport,
     degree_profile,
     dual_multigraph,
     euler_characteristic,
     strong_components,
     validate_regularity,
 )
-from .covers import euler_cover, side_tour, verify_cover
+from .covers import CoverMap, euler_cover, side_tour, verify_cover
 from .errors import CircletError, OutputError, ParseError
 from .families import FAMILIES, FamilySpec, generate
 from .matroid import decompose_into_circlets
 
 __all__ = ["main"]
+
+Result = tuple[str, str, int]  # stdout text, stderr summary, exit code
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -53,36 +61,41 @@ def _fail(exc: CircletError, code: int) -> int:
     return code
 
 
-def _load(path: str) -> Complex:
-    return serialize.load_complex(path)
+# ---- loaders: every error they raise is the input's fault -------------
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    report = validate_regularity(k)
-    doc = {"check": "regularity-necessary-conditions"}
+def _read_complex(args: argparse.Namespace) -> Complex:
+    return serialize.load_complex(args.input)
+
+
+def _read_cover(args: argparse.Namespace) -> CoverMap:
+    return serialize.load_cover(args.input)
+
+
+def _generate(args: argparse.Namespace) -> Complex:
+    return generate(FamilySpec(family=args.family, params=tuple(args.params)))
+
+
+# ---- handlers ----------------------------------------------------------
+
+
+def _checked(doc: dict[str, Any], report: ValidationReport, what: str) -> Result:
     doc.update(serialize.report_to_dict(report))
-    _emit(serialize.dumps(doc), None)
     verdict = "PASS" if report.passed else f"FAIL ({len(report.violations)} violations)"
-    _say(f"regularity (necessary conditions): {verdict}")
-    return 0 if report.passed else 1
+    return serialize.dumps(doc), f"{what}: {verdict}", 0 if report.passed else 1
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        profile = degree_profile(k)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    components = (
-        len(strong_components(k)) if profile.is_pure else None
+def cmd_validate(k: Complex, args: argparse.Namespace) -> Result:
+    return _checked(
+        {"check": "regularity-necessary-conditions"},
+        validate_regularity(k),
+        "regularity (necessary conditions)",
     )
+
+
+def cmd_analyze(k: Complex, args: argparse.Namespace) -> Result:
+    profile = degree_profile(k)
+    components = len(strong_components(k)) if profile.is_pure else None
     doc: dict[str, Any] = {
         "dimension": k.dim,
         "cell_counts": [len(k.cells_of_dim(r)) for r in range(k.dim + 1)],
@@ -94,104 +107,52 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "strong_components": components,
         "euler_characteristic": euler_characteristic(k),
     }
-    _emit(serialize.dumps(doc), None)
     kind = "even" if profile.is_even else ("pure" if profile.is_pure else "non-pure")
-    _say(
+    summary = (
         f"{kind} {k.dim}-complex: cells {doc['cell_counts']}, "
         f"chi {doc['euler_characteristic']}, "
         f"components {components if components is not None else 'n/a'}"
     )
-    return 0
+    return serialize.dumps(doc), summary, 0
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        decomposition = decompose_into_circlets(k)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    _emit(
-        serialize.dumps(serialize.decomposition_to_dict(decomposition)),
-        args.output,
-    )
+def cmd_decompose(k: Complex, args: argparse.Namespace) -> Result:
+    decomposition = decompose_into_circlets(k)
     sizes = [len(p) for p in decomposition.parts]
-    _say(f"{len(sizes)} circlet(s), sizes {sizes}")
-    return 0
+    text = serialize.dumps(serialize.decomposition_to_dict(decomposition))
+    return text, f"{len(sizes)} circlet(s), sizes {sizes}", 0
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        cover = euler_cover(k, strategy=args.strategy, seed=args.seed)
-    except ParseError as exc:  # an input id clashes with a generated one
-        return _fail(exc, 2)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    _emit(serialize.dumps(serialize.cover_to_dict(cover)), args.output)
+def cmd_cover(k: Complex, args: argparse.Namespace) -> Result:
+    cover = euler_cover(k, strategy=args.strategy, seed=args.seed)
     m = cover.source
-    _say(
+    summary = (
         f"cover source: {len(m.facets)} facets, {len(m.sides)} sides, "
         f"chi {euler_characteristic(m)}"
     )
-    return 0
+    return serialize.dumps(serialize.cover_to_dict(cover)), summary, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cover = serialize.load_cover(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    report = verify_cover(cover)
-    _emit(serialize.dumps(serialize.report_to_dict(report)), None)
-    verdict = "PASS" if report.passed else f"FAIL ({len(report.violations)} violations)"
-    _say(f"cover verification: {verdict}")
-    return 0 if report.passed else 1
+def cmd_verify(cover: CoverMap, args: argparse.Namespace) -> Result:
+    return _checked({}, verify_cover(cover), "cover verification")
 
 
-def cmd_tour(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        tour = side_tour(k)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    _emit(serialize.dumps(serialize.tour_to_list(tour)), None)
-    _say(f"side tour through {len(tour.sides)} sides")
-    return 0
+def cmd_tour(k: Complex, args: argparse.Namespace) -> Result:
+    tour = side_tour(k)
+    text = serialize.dumps(serialize.tour_to_list(tour))
+    return text, f"side tour through {len(tour.sides)} sides", 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        spec = FamilySpec(family=args.family, params=tuple(args.params))
-        k = generate(spec)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    _emit(serialize.dumps(serialize.complex_to_dict(k)), args.output)
+def cmd_generate(k: Complex, args: argparse.Namespace) -> Result:
     label = ", ".join(str(p) for p in args.params)
-    _say(f"{args.family}({label}): dim {k.dim}, {len(k)} cells")
-    return 0
+    summary = f"{args.family}({label}): dim {k.dim}, {len(k)} cells"
+    return serialize.dumps(serialize.complex_to_dict(k)), summary, 0
 
 
-def cmd_export_dual(args: argparse.Namespace) -> int:
-    try:
-        k = _load(args.input)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        g = dual_multigraph(k)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    _emit(serialize.dual_to_dot(g), args.output)
-    _say(f"dual: {len(g.vertices)} vertices, {len(g.edges)} edges")
-    return 0
+def cmd_export_dual(k: Complex, args: argparse.Namespace) -> Result:
+    g = dual_multigraph(k)
+    summary = f"dual: {len(g.vertices)} vertices, {len(g.edges)} edges"
+    return serialize.dual_to_dot(g), summary, 0
 
 
 @functools.cache
@@ -205,57 +166,54 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check necessary regularity conditions")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="counts, degrees, evenness, chi")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("decompose", help="partition the facets into circlets")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("cover", help="build a pseudomanifold cover")
-    p.add_argument("input")
-    p.add_argument(
+    commands: dict[str, argparse.ArgumentParser] = {}
+    for name, help, load, run in (
+        (
+            "validate", "check necessary regularity conditions",
+            _read_complex, cmd_validate,
+        ),
+        ("analyze", "counts, degrees, evenness, chi", _read_complex, cmd_analyze),
+        (
+            "decompose", "partition the facets into circlets",
+            _read_complex, cmd_decompose,
+        ),
+        ("cover", "build a pseudomanifold cover", _read_complex, cmd_cover),
+        ("verify", "check a cover file", _read_cover, cmd_verify),
+        ("tour", "cyclic tour through all sides", _read_complex, cmd_tour),
+        ("generate", "emit a generated complex", _generate, cmd_generate),
+        ("export-dual", "dual multigraph as DOT", _read_complex, cmd_export_dual),
+    ):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(load=load, run=run)
+        if load is not _generate:  # every other loader reads a file
+            p.add_argument("input")
+    commands["cover"].add_argument(
         "--strategy", choices=("canonical", "seeded"), default="canonical"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("verify", help="check a cover file")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tour", help="cyclic tour through all sides")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_tour)
-
-    p = sub.add_parser("generate", help="emit a generated complex")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("export-dual", help="dual multigraph as DOT")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_export_dual)
-
+    commands["cover"].add_argument("--seed", type=int, default=0)
+    commands["generate"].add_argument("family", choices=sorted(FAMILIES))
+    commands["generate"].add_argument("params", nargs="*", type=int)
+    for name in ("decompose", "cover", "generate", "export-dual"):
+        commands[name].add_argument("-o", "--output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OutputError as exc:
+        value = args.load(args)
+    except CircletError as exc:
         return _fail(exc, 2)
+    try:
+        text, summary, code = args.run(value, args)
+        _emit(text, getattr(args, "output", None))
+    except (ParseError, OutputError) as exc:  # ParseError: an id clash
+        return _fail(exc, 2)
+    except CircletError as exc:
+        return _fail(exc, 1)
+    _say(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -363,8 +363,6 @@ def euler_cover(
 
     # parts by rank, so the smallest index is the lexicographically first
     parts = sorted(tuple(p) for p in decompose_into_circlets(k).parts)
-    if len(parts) == 1:
-        return cover_circlet(k, strategy=strategy, seed=seed)
     report = validate_decomposition(k, parts)  # one incidence matrix
     if not report.passed:
         raise NotCirclet(report.violations[0].message)

@@ -2,8 +2,10 @@
 
 Everything raised on purpose derives from CircletError. Build-time errors
 (malformed cell data) and analysis-time errors (precondition failures such
-as a complex that is not even) share the hierarchy; the CLI distinguishes
-them by where they occur, not by class.
+as a complex that is not even) share the hierarchy. ``circlet.cli.main`` is
+the one place that tells them apart, by phase rather than by class: any
+error while loading the input exits 2; while running the command, a
+ParseError or OutputError exits 2 and any other error exits 1.
 """
 
 from __future__ import annotations

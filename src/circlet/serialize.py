@@ -283,6 +283,11 @@ def report_to_dict(report: ValidationReport) -> dict[str, Any]:
 # ---- DOT --------------------------------------------------------------
 
 
+def _dot_quote(s: str) -> str:
+    """``s`` as a quoted DOT string: backslashes and quotes escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dual_to_dot(g: DualMultigraph, name: str = "dual") -> str:
     """Render a dual multigraph; parallel edges collapse to one line.
 
@@ -291,7 +296,7 @@ def dual_to_dot(g: DualMultigraph, name: str = "dual") -> str:
     """
     lines = [f"graph {name} {{"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quote(v)};")
     grouped: dict[tuple[str, str], list[str]] = {}
     for e in g.edges:
         grouped.setdefault((e.left, e.right), []).append(e.side)
@@ -302,7 +307,8 @@ def dual_to_dot(g: DualMultigraph, name: str = "dual") -> str:
             label = f"x{len(sides)}: {label}"
         width = 1.0 + 0.6 * (len(sides) - 1)
         lines.append(
-            f'  "{a}" -- "{b}" [label="{label}", penwidth={width:.1f}];'
+            f"  {_dot_quote(a)} -- {_dot_quote(b)} "
+            f"[label={_dot_quote(label)}, penwidth={width:.1f}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import builders
-from circlet import cell, serialize
+from circlet import cell, cli, serialize
 from circlet.cli import main
 from circlet.complexes import build_complex
+from circlet.errors import NotEven
 from circlet.families import simplex_skeleton
 
 
@@ -294,6 +295,30 @@ def test_unwritable_output_exits_2(capsys, tmp_path, cube_file, command, into):
     assert doc["error"] == "OutputError"
     assert doc["message"].startswith(f"cannot write {target}: ")
     assert "Traceback" not in err and err.startswith("error: OutputError")
+
+
+# ---- errors raised inside a check -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, check", [("validate", "validate_regularity"), ("verify", "verify_cover")]
+)
+def test_error_inside_a_check_exits_1(
+    capsys, monkeypatch, tmp_path, delta52_file, command, check
+):
+    path = delta52_file
+    if command == "verify":
+        path = str(tmp_path / "cover.json")
+        assert run(capsys, "cover", delta52_file, "-o", path)[0] == 0
+
+    def broken(_):
+        raise NotEven("broken check")
+
+    monkeypatch.setattr(cli, check, broken)
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert json.loads(out) == {"error": "NotEven", "message": "broken check"}
+    assert err == "error: NotEven: broken check\n"
 
 
 # ---- export-dual ------------------------------------------------------

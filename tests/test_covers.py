@@ -312,19 +312,21 @@ def _adjacent_parts(k):
     raise AssertionError("no two circlets share a side")
 
 
-@pytest.mark.parametrize("damage", ["merge", "split"])
+@pytest.mark.parametrize("damage", ["merge", "split", "whole"])
 def test_euler_cover_checks_every_part(monkeypatch, damage):
-    # two adjacent circlets as one part is even but not minimal; a circlet
-    # split in two gives two parts that are not even
+    # two adjacent circlets as one part is even but not minimal, and so is
+    # the whole complex as a single part; a circlet split in two gives two
+    # parts that are not even
     k = random_even(1, 6)
     parts, i, j = _adjacent_parts(k)
     if damage == "merge":
         bad = [tuple(sorted(parts[i] + parts[j]))]
         bad += [p for n, p in enumerate(parts) if n not in (i, j)]
-    else:
+    elif damage == "split":
         bad = [parts[i][:1], parts[i][1:]]
         bad += [p for n, p in enumerate(parts) if n != i]
-    assert len(bad) >= 3  # still the multi-circlet branch
+    else:
+        bad = [tuple(sorted(k.facets))]
     monkeypatch.setattr(
         covers, "decompose_into_circlets", lambda _: CircletDecomposition(tuple(bad))
     )

@@ -1,5 +1,6 @@
 import enum
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 import builders
 import oracles
 from circlet import (
+    build_complex,
+    cell,
     cover_circlet,
     decompose_into_circlets,
     dual_multigraph,
@@ -287,3 +290,31 @@ def test_dual_to_dot_parallel_edges():
 def test_dual_to_dot_custom_name(cube):
     dot = serialize.dual_to_dot(dual_multigraph(cube), name="cubedual")
     assert dot.startswith("graph cubedual {")
+
+
+def test_dual_to_dot_escapes_quotes_and_backslashes():
+    # a triangle whose edge (facet) and vertex (side) ids hold " and a
+    # trailing \; raw, each would end its quoted DOT string early
+    k = build_complex(
+        [
+            cell("a", 0),
+            cell('v"', 0),
+            cell("w\\", 0),
+            cell('e"1', 1, ["a", 'v"']),
+            cell("x\\", 1, ['v"', "w\\"]),
+            cell("ok", 1, ["w\\", "a"]),
+        ]
+    )
+    dot = serialize.dual_to_dot(dual_multigraph(k))
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    statement = re.compile(
+        rf"  {quoted}(?: -- {quoted} \[label={quoted}, penwidth=[\d.]+\])?;"
+    )
+    lines = dot.splitlines()
+    assert lines[0] == "graph dual {" and lines[-1] == "}"
+    names = []
+    for line in lines[1:-1]:
+        match = statement.fullmatch(line)
+        assert match, line
+        names += [re.sub(r"\\(.)", r"\1", g) for g in match.groups() if g]
+    assert set(names) == {'e"1', "x\\", "ok", "a", 'v"', "w\\"}
