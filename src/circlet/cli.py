@@ -130,7 +130,7 @@ def cmd_cover(k: Complex, args: argparse.Namespace) -> Result:
         f"cover source: {len(m.facets)} facets, {len(m.sides)} sides, "
         f"chi {euler_characteristic(m)}"
     )
-    return serialize.dumps(serialize.cover_to_dict(cover)), summary, 0
+    return serialize.cover_json(cover), summary, 0
 
 
 def cmd_verify(cover: CoverMap, args: argparse.Namespace) -> Result:
@@ -146,7 +146,7 @@ def cmd_tour(k: Complex, args: argparse.Namespace) -> Result:
 def cmd_generate(k: Complex, args: argparse.Namespace) -> Result:
     label = ", ".join(str(p) for p in args.params)
     summary = f"{args.family}({label}): dim {k.dim}, {len(k)} cells"
-    return serialize.dumps(serialize.complex_to_dict(k)), summary, 0
+    return serialize.complex_json(k), summary, 0
 
 
 def cmd_export_dual(k: Complex, args: argparse.Namespace) -> Result:

@@ -72,6 +72,22 @@ def cell(id: str, dim: int, boundary: Iterable[str] = ()) -> Cell:
     return Cell(str(id), int(dim), frozenset(str(b) for b in boundary))
 
 
+def _bad_boundary(c: Cell, table: Mapping[str, Cell]) -> None:
+    """Raise for the smallest missing or wrong-dimension id on c's boundary.
+
+    Sorted here, on the error path only, so the message does not depend on
+    the frozenset's hash order.
+    """
+    for b in sorted(c.boundary):
+        other = table.get(b)
+        if other is None:
+            raise DanglingReference(f"cell {c.id!r} references missing cell {b!r}")
+        if other.dim != c.dim - 1:
+            raise BadDimension(
+                f"cell {c.id!r} (dim {c.dim}) references {b!r} of dim {other.dim}"
+            )
+
+
 class Complex:
     """Immutable face poset with cached derived structure.
 
@@ -122,15 +138,8 @@ class Complex:
                 raise EmptyBoundary(f"{c.dim}-cell {c.id!r} has an empty boundary")
             for b in c.boundary:
                 other = table.get(b)
-                if other is None:
-                    raise DanglingReference(
-                        f"cell {c.id!r} references missing cell {b!r}"
-                    )
-                if other.dim != c.dim - 1:
-                    raise BadDimension(
-                        f"cell {c.id!r} (dim {c.dim}) references {b!r} "
-                        f"of dim {other.dim}"
-                    )
+                if other is None or other.dim != c.dim - 1:
+                    _bad_boundary(c, table)
             if c.dim == 1 and len(c.boundary) != 2:
                 raise NonRegularEdge(
                     f"1-cell {c.id!r} has {len(c.boundary)} endpoints, needs 2"

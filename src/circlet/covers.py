@@ -370,12 +370,12 @@ def euler_cover(
     part_of = {f: i for i, p in enumerate(parts) for f in p}
     # per part, (side, its facets over the side) in side order
     sides_of: list[list[tuple[str, list[str]]]] = [[] for _ in parts]
-    parts_at: dict[str, list[int]] = {}
+    parts_at: dict[str, dict[int, list[str]]] = {}  # side -> part -> facets
     for s in k.sides:
         by_part: dict[int, list[str]] = {}
         for f in k.facets_over(s):
             by_part.setdefault(part_of[f], []).append(f)
-        parts_at[s] = list(by_part)
+        parts_at[s] = by_part
         for i, over in by_part.items():
             sides_of[i].append((s, over))
 
@@ -389,11 +389,14 @@ def euler_cover(
     for i in fold_order:
         rng = _rng(strategy, seed)
         piece = {s: _pair_up(over, rng) for s, over in sides_of[i]}
-        if pairs:
-            shared = next(s for s in piece if s in pairs)
-            _repair(pairs[shared], piece[shared])
+        if not pairs:
+            pairs = piece
+            continue
+        shared = next(s for s in piece if s in pairs)
+        _repair(pairs[shared], piece[shared])
         for s, p in piece.items():
-            pairs.setdefault(s, []).extend(p)
+            if pairs.setdefault(s, p) is not p:
+                pairs[s] += p
     gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
     return build_glued_complex(k, gluing)[1]
 

@@ -3,6 +3,14 @@
 All emitters are canonical: cells sorted by (dim, id), boundaries and
 map entries sorted by id, two-space indentation. Loading a canonical
 file and saving it again reproduces it byte for byte.
+
+Two writers produce that text. :func:`complex_json` and
+:func:`cover_json` write complex and cover documents straight from the
+cells, one template per cell; ``save_complex`` and the CLI's ``cover``
+and ``generate`` use them. :func:`dumps` writes every other document
+(reports, decompositions, tours, errors) from plain dicts and lists, and
+``dumps(complex_to_dict(k))`` and ``dumps(cover_to_dict(c))`` stay as
+the reference the emitters must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -25,12 +33,14 @@ from .matroid import CircletDecomposition
 
 __all__ = [
     "complex_to_dict",
+    "complex_json",
     "complex_from_dict",
     "save_complex",
     "load_complex",
     "decomposition_to_dict",
     "decomposition_from_dict",
     "cover_to_dict",
+    "cover_json",
     "cover_from_dict",
     "load_cover",
     "tour_to_list",
@@ -132,6 +142,36 @@ def complex_to_dict(k: Complex) -> dict[str, Any]:
     return {"dimension": k.dim, "cells": cells}
 
 
+def _complex_text(k: Complex, nl: str) -> str:
+    """The complex document as :func:`dumps` indents it after ``nl``."""
+    i1, i2, i3, i4 = (nl + "  " * n for n in range(1, 5))
+    head = f'{{{i3}"id": '
+    dim = f',{i3}"dim": '
+    leaf = f',{i3}"boundary": []{i2}}}'
+    wide = f',{i3}"boundary": [{i4}'
+    tail = f'{i3}]{i2}}}'
+    esc, join = _escape, ("," + i4).join
+    cells = [
+        f"{head}{esc(c.id)}{dim}{c.dim:d}{wide}"
+        f"{join(map(esc, sorted(c.boundary)))}{tail}"
+        if c.boundary
+        else f"{head}{esc(c.id)}{dim}{c.dim:d}{leaf}"
+        for c in k
+    ]
+    body = ("," + i2).join(cells)
+    return f'{{{i1}"dimension": {k.dim:d},{i1}"cells": [{i2}{body}{i1}]{nl}}}'
+
+
+def complex_json(k: Complex) -> str:
+    """``dumps(complex_to_dict(k))``, written straight from the cells.
+
+    Ids must be ``str`` (else TypeError). Dims are written as integers: a
+    hand-built ``bool`` dim comes out as 0 or 1, which loads back to an
+    equal complex, where the reference writes a boolean the loader rejects.
+    """
+    return _complex_text(k, "\n") + "\n"
+
+
 def complex_from_dict(doc: Any) -> Complex:
     if not isinstance(doc, dict):
         raise ParseError("complex document must be a JSON object")
@@ -173,7 +213,7 @@ def complex_from_dict(doc: Any) -> Complex:
 
 
 def save_complex(k: Complex, path: str | Path) -> None:
-    Path(path).write_text(dumps(complex_to_dict(k)))
+    Path(path).write_text(complex_json(k))
 
 
 def _read_json(path: str | Path) -> Any:
@@ -225,6 +265,18 @@ def cover_to_dict(cover: CoverMap) -> dict[str, Any]:
         "target": complex_to_dict(cover.target),
         "map": entries,
     }
+
+
+def cover_json(cover: CoverMap) -> str:
+    """``dumps(cover_to_dict(cover))``; map ids must be ``str`` too."""
+    m, esc, nl = cover.cell_map, _escape, "\n  "
+    entries = ",\n    ".join([
+        f'{{\n      "from": {esc(s)},\n      "to": {esc(m[s])}\n    }}'
+        for s in sorted(m)
+    ])
+    source, target = _complex_text(cover.source, nl), _complex_text(cover.target, nl)
+    body = f"[\n    {entries}\n  ]" if m else "[]"
+    return f'{{{nl}"source": {source},{nl}"target": {target},{nl}"map": {body}\n}}\n'
 
 
 def cover_from_dict(doc: Any, base_dir: Path | None = None) -> CoverMap:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -375,6 +376,44 @@ def test_hostile_file_is_a_parse_error(tmp_path, write):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "ParseError"
     assert "Traceback" not in proc.stderr
+
+
+# ---- error messages do not follow hash order ---------------------------
+
+
+def _vertices(*ids):
+    return [{"id": v, "dim": 0, "boundary": []} for v in ids]
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (
+            _vertices("a") + [{"id": "e", "dim": 1, "boundary": ["x", "y", "z", "w"]}],
+            "cell 'e' references missing cell 'w'",
+        ),
+        (
+            _vertices("a", "b") + [{"id": "t", "dim": 2, "boundary": ["b", "a"]}],
+            "cell 't' (dim 2) references 'a' of dim 0",
+        ),
+    ],
+    ids=["dangling", "bad-dimension"],
+)
+def test_error_names_the_smallest_id_under_any_hash_seed(tmp_path, cells, message):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"dimension": cells[-1]["dim"], "cells": cells}))
+    outs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "circlet.cli", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 2
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["message"] == message
 
 
 # ---- console script wiring --------------------------------------------

@@ -20,8 +20,10 @@ from circlet import (
     validate_regularity,
     verify_cover,
 )
+from circlet.complexes import Cell
+from circlet.covers import CoverMap
 from circlet.errors import ParseError
-from circlet.families import cycle
+from circlet.families import cycle, random_even, random_even_multigraph
 
 
 # ---- complexes --------------------------------------------------------
@@ -123,6 +125,7 @@ def test_cells_listed_in_dim_then_id_order(cube):
 def test_file_round_trip(tmp_path, octahedron):
     path = tmp_path / "octa.json"
     serialize.save_complex(octahedron, path)
+    assert path.read_text() == serialize.dumps(serialize.complex_to_dict(octahedron))
     assert serialize.load_complex(path) == octahedron
 
 
@@ -230,6 +233,81 @@ def test_cover_parse_errors():
                 ],
             }
         )
+
+
+# ---- the template emitters --------------------------------------------
+
+# id prefixes that need escaping, or that sort apart from numeric order
+# once a number follows them (s#2 after s#10)
+AWKWARD = ['"', "\\", "\x07", "\u00e9", "\u2028", "\U0001f600", "s#"]
+
+
+def awkward_ids(k, rng):
+    """k with every id renamed to an awkward prefix and a number."""
+    ids = [c.id for c in k]
+    fresh = [f"{rng.choice(AWKWARD)}{i}" for i in range(len(ids))]
+    rng.shuffle(fresh)
+    name = dict(zip(ids, fresh))
+    return build_complex(
+        [cell(name[c.id], c.dim, [name[b] for b in c.boundary]) for c in k]
+    )
+
+
+COMPLEXES = st.builds(
+    random_even, st.integers(0, 10**6), st.integers(1, 8)
+) | st.builds(random_even_multigraph, st.integers(0, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=COMPLEXES,
+    rng=st.randoms(),
+    rename=st.booleans(),
+    strategy=st.sampled_from([("canonical", 0), ("seeded", 3), ("seeded", 7)]),
+)
+def test_emitters_match_the_reference(k, rng, rename, strategy):
+    if rename:
+        k = awkward_ids(k, rng)
+    assert serialize.complex_json(k) == serialize.dumps(serialize.complex_to_dict(k))
+    cover = euler_cover(k, *strategy)
+    expected = serialize.dumps(serialize.cover_to_dict(cover))
+    assert serialize.cover_json(cover) == expected
+
+
+def test_emitters_on_a_point_and_an_empty_map():
+    point = build_complex([cell("p", 0)])
+    empty = CoverMap(source=point, target=point, cell_map={})
+    assert serialize.complex_json(point) == serialize.dumps(serialize.complex_to_dict(point))
+    assert serialize.cover_json(empty) == serialize.dumps(serialize.cover_to_dict(empty))
+
+
+def test_emitters_write_dims_as_integers():
+    # a bool dim is outside the loader's contract; the emitter writes the
+    # integer, which loads back to an equal complex, where the reference
+    # writes a JSON boolean that the loader rejects
+    k = build_complex(
+        [
+            Cell("a", False, frozenset()),
+            Cell("b", 0, frozenset()),
+            Cell("e", True, frozenset({"a", "b"})),
+        ]
+    )
+    text = serialize.complex_json(k)
+    assert '"dim": true' not in text and '"dimension": 1,' in text
+    assert serialize.complex_from_dict(json.loads(text)) == k
+    reference = serialize.dumps(serialize.complex_to_dict(k))
+    assert '"dim": true' in reference
+    with pytest.raises(ParseError):
+        serialize.complex_from_dict(json.loads(reference))
+
+
+def test_emitters_reject_non_string_ids():
+    k = build_complex([Cell(1, 0, frozenset())])
+    with pytest.raises(TypeError):
+        serialize.complex_json(k)
+    point = build_complex([cell("p", 0)])
+    with pytest.raises(TypeError):
+        serialize.cover_json(CoverMap(source=point, target=point, cell_map={"p": 1}))
 
 
 # ---- tours and reports ------------------------------------------------
