@@ -1,11 +1,17 @@
 """Golden corpus: the CLI's stdout and exit codes, pinned byte for byte.
 
 ``tests/golden/manifest.json`` holds, for every input and command, the
-exit code and the sha256 of stdout. Inputs come from ``generate``, whose
-own output is pinned too; ``verify`` reads the canonical ``cover``. To
-re-record after a deliberate change of output:
+exit code and the sha256 of stdout. Most inputs come from ``generate``,
+whose own output is pinned too. The rest are committed documents under
+``tests/golden/inputs/``: complexes that fail a regularity rule, and
+hostile ones that fail to load or fail a precondition, so failure reports
+and error documents are pinned as well. ``verify`` reads whatever
+``cover`` wrote. To re-record after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+``--check`` prints the records computed now instead of writing them; the
+hash-seed test compares that printout with the manifest.
 """
 
 import argparse
@@ -13,6 +19,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -21,7 +29,9 @@ import pytest
 
 from circlet.cli import build_parser, main
 
-MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+DOCUMENTS = GOLDEN / "inputs"
 
 INPUTS = {
     "simplex_skeleton-6-2": ["simplex_skeleton", "6", "2"],
@@ -36,6 +46,8 @@ INPUTS = {
     "random_even-1-5": ["random_even", "1", "5"],
     "random_even-7-8": ["random_even", "7", "8"],
 }
+
+NAMES = sorted([*INPUTS, *(p.stem for p in DOCUMENTS.glob("*.json"))])
 
 COMMANDS = {
     "analyze": ["analyze"],
@@ -61,26 +73,54 @@ def _record(code: int, text: str) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def outputs(spec: list[str], workdir: Path) -> dict[str, dict]:
+def outputs(name: str, workdir: Path) -> dict[str, dict]:
     """Exit code and stdout digest of every command on one input."""
-    code, text = _run(["generate", *spec])
-    records = {"generate": _record(code, text)}
-    path = workdir / "input.json"
-    path.write_text(text)
-    for name, argv in COMMANDS.items():
+    records = {}
+    path = DOCUMENTS / f"{name}.json"
+    if name in INPUTS:
+        code, text = _run(["generate", *INPUTS[name]])
+        records["generate"] = _record(code, text)
+        path = workdir / "input.json"
+        path.write_text(text)
+    for command, argv in COMMANDS.items():
         code, text = _run([*argv, str(path)])
-        records[name] = _record(code, text)
-        if name == "cover":
+        records[command] = _record(code, text)
+        if command == "cover":
             cover_path = workdir / "cover.json"
             cover_path.write_text(text)
             records["verify"] = _record(*_run(["verify", str(cover_path)]))
     return records
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
+def corpus() -> dict[str, dict[str, dict]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: outputs(name, Path(tmp)) for name in NAMES}
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_golden_outputs(name, tmp_path):
     expected = json.loads(MANIFEST.read_text())[name]
-    assert outputs(INPUTS[name], tmp_path) == expected
+    assert outputs(name, tmp_path) == expected
+
+
+def test_golden_outputs_do_not_depend_on_the_hash_seed():
+    # one process per seed runs the whole corpus; both run at once
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--check"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        )
+        for seed in ("1", "2")
+    ]
+    expected = json.loads(MANIFEST.read_text())
+    for proc in procs:
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        assert json.loads(out) == expected
 
 
 def test_every_subcommand_has_a_golden_entry():
@@ -94,10 +134,10 @@ def test_every_subcommand_has_a_golden_entry():
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = {
-            name: outputs(spec, Path(tmp)) for name, spec in INPUTS.items()
-        }
-    MANIFEST.parent.mkdir(exist_ok=True)
-    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(manifest)} inputs to {MANIFEST}\n")
+    manifest = corpus()
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    if sys.argv[1:] == ["--check"]:
+        sys.stdout.write(text)
+    else:
+        MANIFEST.write_text(text)
+        sys.stdout.write(f"wrote {len(manifest)} inputs to {MANIFEST}\n")
