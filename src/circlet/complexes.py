@@ -16,7 +16,7 @@ and every side degree is positive and even.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -277,14 +277,17 @@ class ValidationReport:
 def validate_regularity(k: Complex) -> ValidationReport:
     """Check the necessary local conditions for a regular CW structure.
 
-    Three rules, reported rather than raised:
+    Two rules, reported rather than raised, read off the covering
+    relation (the (r-2)-faces of an r-cell are the boundary members of
+    its (r-1)-faces):
 
     * ``diamond``: inside every r-cell (r >= 2), each (r-2)-face lies
       under exactly two of the cell's (r-1)-faces.
-    * ``boundary-pure``: every proper face of an r-cell (r >= 2) lies
-      under one of its (r-1)-faces.
     * ``boundary-connected``: the (r-1)-faces of an r-cell (r >= 2) form
       a connected graph under shared (r-2)-faces.
+
+    No rule asks that every proper face lie under an (r-1)-face: below
+    a cell, its closure is the union of its faces' closures.
 
     A pass is necessary, not sufficient: these are the poset-visible
     consequences of regularity, so a complex that fails is certainly not
@@ -294,25 +297,13 @@ def validate_regularity(k: Complex) -> ValidationReport:
     for r in range(2, k.dim + 1):
         for gid in k.cells_of_dim(r):
             faces = k.boundary(gid)
-            sub_closures = {b: k.closure(b) for b in faces}
-            proper = k.closure(gid) - {gid}
+            under: dict[str, list[str]] = {}  # (r-2)-face -> faces over it
+            for b in faces:
+                for a in k.boundary(b):
+                    under.setdefault(a, []).append(b)
 
-            covered: set[str] = set()
-            for cl in sub_closures.values():
-                covered |= cl
-            stranded = sorted(proper - covered)
-            if stranded:
-                violations.append(
-                    Violation(
-                        "boundary-pure",
-                        (gid, *stranded),
-                        f"faces of {gid!r} not under any of its "
-                        f"{r - 1}-faces: {stranded}",
-                    )
-                )
-
-            for aid in sorted(x for x in proper if k.cell(x).dim == r - 2):
-                count = sum(1 for cl in sub_closures.values() if aid in cl)
+            for aid in sorted(under):
+                count = len(under[aid])
                 if count != 2:
                     violations.append(
                         Violation(
@@ -323,28 +314,23 @@ def validate_regularity(k: Complex) -> ValidationReport:
                         )
                     )
 
-            if len(faces) > 1:
-                order = sorted(faces)
-                seen = {order[0]}
-                queue = deque(seen)
-                while queue:
-                    b = queue.popleft()
-                    for other in order:
-                        if other not in seen and any(
-                            k.cell(x).dim == r - 2
-                            for x in sub_closures[b] & sub_closures[other]
-                        ):
+            seen = {min(faces)}
+            todo = list(seen)
+            while todo:
+                for a in k.boundary(todo.pop()):
+                    for other in under[a]:
+                        if other not in seen:
                             seen.add(other)
-                            queue.append(other)
-                if len(seen) != len(faces):
-                    violations.append(
-                        Violation(
-                            "boundary-connected",
-                            (gid,),
-                            f"the {r - 1}-faces of {gid!r} split into "
-                            "disconnected groups",
-                        )
+                            todo.append(other)
+            if len(seen) != len(faces):
+                violations.append(
+                    Violation(
+                        "boundary-connected",
+                        (gid,),
+                        f"the {r - 1}-faces of {gid!r} split into "
+                        "disconnected groups",
                     )
+                )
     return ValidationReport.from_violations(violations)
 
 
@@ -424,6 +410,21 @@ class DualMultigraph:
         return adj
 
 
+def _pair_edges(k: Complex, sides: Iterable[str]) -> tuple[DualEdge, ...]:
+    """One edge per pair of facets over each side.
+
+    Sides come sorted and every coface list is sorted, so the edges come
+    out ordered by (side, left, right) without a sort.
+    """
+    edges = []
+    for s in sides:
+        over = k._cofaces.get(s, ())
+        for i, left in enumerate(over):
+            for right in over[i + 1 :]:
+                edges.append(DualEdge(left, right, s))
+    return tuple(edges)
+
+
 def dual_multigraph(k: Complex) -> DualMultigraph:
     """The side-adjacency multigraph on facets.
 
@@ -437,14 +438,7 @@ def dual_multigraph(k: Complex) -> DualMultigraph:
         return cached
     if not k.is_pure:
         raise NotPure("dual multigraph needs a pure complex")
-    edges: list[DualEdge] = []
-    for s in k.sides:
-        over = k.facets_over(s)
-        for i in range(len(over)):
-            for j in range(i + 1, len(over)):
-                edges.append(DualEdge(over[i], over[j], s))
-    edges.sort(key=lambda e: (e.side, e.left, e.right))
-    g = DualMultigraph(vertices=k.facets, edges=tuple(edges))
+    g = DualMultigraph(vertices=k.facets, edges=_pair_edges(k, k.sides))
     object.__setattr__(k, "_dual", g)
     return g
 
@@ -462,14 +456,7 @@ def corner_link(k: Complex, corner_id: str) -> DualMultigraph:
     # a facet holds the corner exactly when one of its sides does
     sides = k._cofaces.get(corner_id, ())
     verts = tuple(sorted({f for s in sides for f in k._cofaces.get(s, ())}))
-    edges: list[DualEdge] = []
-    for s in sides:
-        over = k._cofaces.get(s, ())
-        for i in range(len(over)):
-            for j in range(i + 1, len(over)):
-                edges.append(DualEdge(over[i], over[j], s))
-    edges.sort(key=lambda e: (e.side, e.left, e.right))
-    return DualMultigraph(vertices=verts, edges=tuple(edges))
+    return DualMultigraph(vertices=verts, edges=_pair_edges(k, sides))
 
 
 def strong_components(k: Complex) -> list[frozenset[str]]:

@@ -21,7 +21,7 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .complexes import (
     Cell,

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .complexes import (
     Cell,
     Complex,
     DualMultigraph,
     ValidationReport,
-    Violation,
     build_complex,
 )
 from .covers import CoverMap, SideTour
@@ -38,7 +37,6 @@ __all__ = [
     "save_complex",
     "load_complex",
     "decomposition_to_dict",
-    "decomposition_from_dict",
     "cover_to_dict",
     "cover_json",
     "cover_from_dict",
@@ -237,19 +235,6 @@ def load_complex(path: str | Path) -> Complex:
 
 def decomposition_to_dict(d: CircletDecomposition) -> dict[str, Any]:
     return {"parts": [list(part) for part in d.parts]}
-
-
-def decomposition_from_dict(doc: Any) -> CircletDecomposition:
-    if not isinstance(doc, dict) or not isinstance(doc.get("parts"), list):
-        raise ParseError("decomposition document needs a 'parts' list")
-    parts = []
-    for part in doc["parts"]:
-        if not isinstance(part, list) or not all(
-            isinstance(f, str) for f in part
-        ):
-            raise ParseError("each part must be a list of facet ids")
-        parts.append(tuple(sorted(part)))
-    return CircletDecomposition(parts=tuple(parts))
 
 
 # ---- covers -----------------------------------------------------------

@@ -244,6 +244,18 @@ def facets_over_by_scan(k: Complex, cell_id: str) -> tuple[str, ...]:
     return tuple(f for f in k.facets if cell_id in k.boundary(f))
 
 
+def dual_multigraph_by_scan(k: Complex) -> DualMultigraph:
+    """The dual multigraph from facet scans: one edge per facet pair over
+    each side, sorted by (side, left, right)."""
+    edges = [
+        DualEdge(a, b, s)
+        for s in k.sides
+        for a, b in combinations(facets_over_by_scan(k, s), 2)
+    ]
+    edges.sort(key=lambda e: (e.side, e.left, e.right))
+    return DualMultigraph(vertices=k.facets, edges=tuple(edges))
+
+
 def corner_link_by_scan(k: Complex, corner_id: str) -> DualMultigraph:
     """The link of a corner from closures: facets over it, edges per side."""
     verts = tuple(f for f in k.facets if corner_id in k.closure(f))
@@ -443,6 +455,79 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
             pairs.setdefault(s, []).extend(p)
     gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
     return build_glued_complex(k, gluing)[1]
+
+
+# ---- regularity from full closures ------------------------------------
+
+
+def validate_by_closures(k: Complex) -> ValidationReport:
+    """validate_regularity as first written: from full closures, with a
+    third rule, ``boundary-pure``, that the rewrite dropped.
+
+    Each r-cell compares its closure with its faces' closures: faces of
+    the cell under none of its (r-1)-faces are ``boundary-pure``
+    violations, (r-2)-cells under other than two of them ``diamond`` ones,
+    and the (r-1)-faces are linked when their closures share an
+    (r-2)-cell. The first rule cannot fire, since the closure below a
+    cell is the union of its faces' closures; the tests confirm it never
+    does.
+    """
+    violations: list[Violation] = []
+    for r in range(2, k.dim + 1):
+        for gid in k.cells_of_dim(r):
+            faces = k.boundary(gid)
+            sub_closures = {b: k.closure(b) for b in faces}
+            proper = k.closure(gid) - {gid}
+
+            covered: set[str] = set()
+            for cl in sub_closures.values():
+                covered |= cl
+            stranded = sorted(proper - covered)
+            if stranded:
+                violations.append(
+                    Violation(
+                        "boundary-pure",
+                        (gid, *stranded),
+                        f"faces of {gid!r} not under any of its "
+                        f"{r - 1}-faces: {stranded}",
+                    )
+                )
+
+            for aid in sorted(x for x in proper if k.cell(x).dim == r - 2):
+                count = sum(1 for cl in sub_closures.values() if aid in cl)
+                if count != 2:
+                    violations.append(
+                        Violation(
+                            "diamond",
+                            (gid, aid),
+                            f"{r - 2}-cell {aid!r} lies under {count} of the "
+                            f"{r - 1}-faces of {gid!r}, expected 2",
+                        )
+                    )
+
+            if len(faces) > 1:
+                order = sorted(faces)
+                seen = {order[0]}
+                queue = deque(seen)
+                while queue:
+                    b = queue.popleft()
+                    for other in order:
+                        if other not in seen and any(
+                            k.cell(x).dim == r - 2
+                            for x in sub_closures[b] & sub_closures[other]
+                        ):
+                            seen.add(other)
+                            queue.append(other)
+                if len(seen) != len(faces):
+                    violations.append(
+                        Violation(
+                            "boundary-connected",
+                            (gid,),
+                            f"the {r - 1}-faces of {gid!r} split into "
+                            "disconnected groups",
+                        )
+                    )
+    return ValidationReport.from_violations(violations)
 
 
 # ---- cover verification through corner links -----------------------

@@ -278,6 +278,15 @@ def test_dropping_a_side_breaks_regularity(cube):
     assert any(v.rule == "diamond" for v in report.violations)
 
 
+def test_regularity_reads_no_closures(monkeypatch, delta52, cube):
+    def refuse(self, cell_id):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(Complex, "closure", refuse)
+    for k in (delta52, cube):
+        assert validate_regularity(k).passed
+
+
 # ---- dual multigraph, components, bridges -----------------------------
 
 

@@ -3,7 +3,6 @@ import re
 import pytest
 
 import builders
-import oracles
 from circlet import (
     CircletDecomposition,
     CoverMap,
@@ -13,7 +12,6 @@ from circlet import (
     cover_circlet,
     covers,
     decompose_into_circlets,
-    dual_multigraph,
     euler_characteristic,
     euler_cover,
     gluing_from_cover,

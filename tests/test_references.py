@@ -11,7 +11,10 @@ the references chain merge_covers (small inputs) or fold one induced
 subcomplex and gluing per circlet (inputs of benchmark size).
 verify_cover counts corner-link degrees off the coface tables; the
 reference builds each corner's link multigraph, on covers, mutated cell
-maps and swapped ends. Each pair must agree exactly.
+maps and swapped ends. validate_regularity reads two levels of the
+boundary relation; the reference compares full closures, on the
+families and on complexes whose boundaries were mangled at random. Each
+pair must agree exactly.
 """
 
 import random
@@ -29,13 +32,20 @@ from circlet import (
     CoverMap,
     corner_link,
     decompose_into_circlets,
+    dual_multigraph,
     euler_cover,
     extract_circlet,
     incidence_matrix,
     validate_decomposition,
+    validate_regularity,
     verify_cover,
 )
-from circlet.errors import BadParameters, DanglingReference, DuplicateCellId
+from circlet.errors import (
+    BadParameters,
+    CircletError,
+    DanglingReference,
+    DuplicateCellId,
+)
 from circlet.families import (
     crosspolytope_skeleton,
     finned_circlet,
@@ -96,6 +106,63 @@ def test_corner_link_matches_scan(case):
     for cid in (*k.sides, *k.facets, "no-such-cell"):
         with pytest.raises(BadParameters):
             corner_link(k, cid)
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_dual_multigraph_matches_scan(case):
+    k = LOOKUP_CASES[case]()
+    if k.is_pure:
+        assert dual_multigraph(k) == oracles.dual_multigraph_by_scan(k)
+
+
+# ---- regularity -------------------------------------------------------
+
+
+REGULARITY_CASES = {
+    "delta5_2": lambda: simplex_skeleton(6, 2),
+    "delta5_3": lambda: simplex_skeleton(6, 3),
+    "delta5_4": lambda: simplex_skeleton(6, 4),
+    "cube4_3": lambda: hypercube_skeleton(4, 3),
+    "cross4_3": lambda: crosspolytope_skeleton(4, 3),
+    "finned3_4": lambda: finned_circlet(3, 4),
+    "random_even4_5": lambda: random_even(4, 5),
+    "cover_source": lambda: euler_cover(random_even(4, 5)).source,
+}
+
+
+def mangled(k, rng):
+    """k with one to three cells of dimension >= 1 given a new boundary:
+    a face dropped, a cell one dimension down added, or one swapped for
+    another. None when the result does not build."""
+    cells = {c.id: c for c in k}
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice([x for x in cells.values() if x.dim >= 1])
+        faces = set(c.boundary)
+        roll = rng.random()
+        if roll < 2 / 3:
+            faces.discard(rng.choice(sorted(faces)))
+        if roll > 1 / 3:
+            faces.add(rng.choice(k.cells_of_dim(c.dim - 1)))
+        cells[c.id] = Cell(c.id, c.dim, frozenset(faces))
+    try:
+        return Complex(cells.values())
+    except CircletError:
+        return None
+
+
+@pytest.mark.parametrize("case", sorted(REGULARITY_CASES))
+def test_regularity_matches_closures(case):
+    k = REGULARITY_CASES[case]()
+    assert validate_regularity(k) == oracles.validate_by_closures(k)
+    rng = random.Random(case)
+    rules = set()
+    for _ in range(100):
+        m = mangled(k, rng)
+        if m is not None:
+            report = validate_regularity(m)
+            assert report == oracles.validate_by_closures(m)
+            rules.update(v.rule for v in report.violations)
+    assert rules == {"diamond", "boundary-connected"}
 
 
 # ---- construction order ----------------------------------------------
