@@ -6,7 +6,9 @@ whose own output is pinned too. The rest are committed documents under
 ``tests/golden/inputs/``: complexes that fail a regularity rule, and
 hostile ones that fail to load or fail a precondition, so failure reports
 and error documents are pinned as well. ``verify`` reads whatever
-``cover`` wrote. To re-record after a deliberate change of output:
+``cover`` wrote, and also runs alone on the tampered cover documents
+under ``tests/golden/covers/``. To re-record after a deliberate change of
+output:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -32,6 +34,7 @@ from circlet.cli import build_parser, main
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 DOCUMENTS = GOLDEN / "inputs"
+COVERS = GOLDEN / "covers"
 
 INPUTS = {
     "simplex_skeleton-6-2": ["simplex_skeleton", "6", "2"],
@@ -47,7 +50,10 @@ INPUTS = {
     "random_even-7-8": ["random_even", "7", "8"],
 }
 
-NAMES = sorted([*INPUTS, *(p.stem for p in DOCUMENTS.glob("*.json"))])
+COVER_NAMES = {p.stem for p in COVERS.glob("*.json")}
+NAMES = sorted(
+    [*INPUTS, *(p.stem for p in DOCUMENTS.glob("*.json")), *COVER_NAMES]
+)
 
 COMMANDS = {
     "analyze": ["analyze"],
@@ -75,6 +81,8 @@ def _record(code: int, text: str) -> dict:
 
 def outputs(name: str, workdir: Path) -> dict[str, dict]:
     """Exit code and stdout digest of every command on one input."""
+    if name in COVER_NAMES:
+        return {"verify": _record(*_run(["verify", str(COVERS / f"{name}.json")]))}
     records = {}
     path = DOCUMENTS / f"{name}.json"
     if name in INPUTS:
@@ -114,6 +122,10 @@ def test_golden_outputs_do_not_depend_on_the_hash_seed():
         out, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
         assert json.loads(out) == expected
+
+
+def test_golden_names_are_unique():
+    assert len(NAMES) == len(set(NAMES))
 
 
 def test_every_subcommand_has_a_golden_entry():
