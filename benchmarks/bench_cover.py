@@ -8,6 +8,9 @@ log-log slope of that time against the facet count from the rung below
 in the same ladder, and the first 16 hex digits of the sha256 of the
 canonical JSON of the decomposition, the cover and the verify report.
 Every repeat checks that all three are the same as on the first run.
+A complex keeps its incidence matrix once built, so each repeat hands
+decompose_into_circlets and euler_cover a fresh copy of the rung's
+complex, built outside the timing: no repeat reuses an earlier matrix.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """
@@ -17,7 +20,13 @@ import hashlib
 import math
 import time
 
-from circlet import decompose_into_circlets, euler_cover, serialize, verify_cover
+from circlet import (
+    Complex,
+    decompose_into_circlets,
+    euler_cover,
+    serialize,
+    verify_cover,
+)
 from circlet.families import random_even, simplex_skeleton
 
 LADDERS = (
@@ -61,8 +70,8 @@ def main():
             times = [math.inf] * 3
             digests = None
             for _ in range(repeat):
-                a, got = timed(decompose_into_circlets, k)
-                b, cover = timed(euler_cover, k)
+                a, got = timed(decompose_into_circlets, Complex(k))
+                b, cover = timed(euler_cover, Complex(k))
                 c, report = timed(verify_cover, cover)
                 now = (
                     sha(serialize.decomposition_to_dict(got)),

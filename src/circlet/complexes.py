@@ -16,9 +16,9 @@ and every side degree is positive and even.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cell: an id, a dimension, and the ids one dimension down."""
 
     id: str
@@ -94,6 +93,8 @@ class Complex:
     Construction inverts the boundary relation into a coface map (cell
     -> the cells one dimension up, sorted); side degrees, purity,
     :meth:`facets_over` and :func:`corner_link` read it, never scanning.
+    The dual multigraph, the strong components and the incidence matrix
+    (:func:`circlet.matroid.incidence_matrix`) are kept once asked for.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -109,50 +110,53 @@ class Complex:
         "_side_degrees",
         "_dual",
         "_components",
+        "_incidence",
     )
 
     def __init__(self, cells: Iterable[Cell]):
-        # (dim, id) order from one sort by id per dimension, not a tuple key
+        # (dim, id) order from one sort by id per dimension, not a tuple key;
+        # cells are read by position, which is faster than by field name
         buckets: dict[int, list[Cell]] = {}
         for c in cells:
-            buckets.setdefault(c.dim, []).append(c)
-        by_id = attrgetter("id")
-        ordered = [c for d in sorted(buckets) for c in sorted(buckets[d], key=by_id)]
+            buckets.setdefault(c[1], []).append(c)
+        by_id = itemgetter(0)
+        groups = [sorted(buckets[d], key=by_id) for d in sorted(buckets)]
+        ordered = [c for group in groups for c in group]
         if not ordered:
             raise EmptyComplex("a complex needs at least one cell")
 
-        table: dict[str, Cell] = {}
-        for c in ordered:
-            if c.id in table:
-                raise DuplicateCellId(f"cell id {c.id!r} appears twice")
-            table[c.id] = c
+        table: dict[str, Cell] = {c[0]: c for c in ordered}
+        if len(table) != len(ordered):
+            seen: set[str] = set()
+            for cid, _, _ in ordered:
+                if cid in seen:
+                    raise DuplicateCellId(f"cell id {cid!r} appears twice")
+                seen.add(cid)
 
-        for c in ordered:
-            if c.dim < 0:
-                raise BadDimension(f"cell {c.id!r} has negative dimension")
-            if c.dim == 0:
-                if c.boundary:
-                    raise BadDimension(f"0-cell {c.id!r} has a nonempty boundary")
-                continue
-            if not c.boundary:
-                raise EmptyBoundary(f"{c.dim}-cell {c.id!r} has an empty boundary")
-            for b in c.boundary:
-                other = table.get(b)
-                if other is None or other.dim != c.dim - 1:
-                    _bad_boundary(c, table)
-            if c.dim == 1 and len(c.boundary) != 2:
-                raise NonRegularEdge(
-                    f"1-cell {c.id!r} has {len(c.boundary)} endpoints, needs 2"
-                )
-
-        n = ordered[-1].dim
-        by_dim: list[list[str]] = [[] for _ in range(n + 1)]
         # the coface lists fill in (dim, id) order
-        up: dict[str, list[str]] = {}
+        up: defaultdict[str, list[str]] = defaultdict(list)
         for c in ordered:
-            by_dim[c.dim].append(c.id)
-            for b in c.boundary:
-                up.setdefault(b, []).append(c.id)
+            cid, dim, boundary = c
+            if dim < 0:
+                raise BadDimension(f"cell {cid!r} has negative dimension")
+            if dim == 0:
+                if boundary:
+                    raise BadDimension(f"0-cell {cid!r} has a nonempty boundary")
+                continue
+            if not boundary:
+                raise EmptyBoundary(f"{dim}-cell {cid!r} has an empty boundary")
+            for b in boundary:
+                other = table.get(b)
+                if other is None or other[1] != dim - 1:
+                    _bad_boundary(c, table)
+                up[b].append(cid)
+            if dim == 1 and len(boundary) != 2:
+                raise NonRegularEdge(
+                    f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
+                )
+        # boundaries are nonempty, one dim down: group r holds the r-cells
+        n = ordered[-1][1]
+        by_dim = tuple(tuple(c[0] for c in group) for group in groups)
         cofaces = {b: tuple(ids) for b, ids in up.items()}
         side_degrees = (
             {s: len(cofaces.get(s, ())) for s in by_dim[n - 1]} if n >= 1 else {}
@@ -160,12 +164,13 @@ class Complex:
 
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_cells", table)
-        object.__setattr__(self, "_by_dim", tuple(tuple(ids) for ids in by_dim))
+        object.__setattr__(self, "_by_dim", by_dim)
         object.__setattr__(self, "_closure", {})
         object.__setattr__(self, "_cofaces", cofaces)
         object.__setattr__(self, "_side_degrees", side_degrees)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_components", None)
+        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Complex is immutable")

@@ -67,16 +67,6 @@ __all__ = [
 ]
 
 
-def side_copy_id(side_id: str, index: int) -> str:
-    """Id of the index-th copy of a side in a glued complex (1-based)."""
-    return f"{side_id}#{index}"
-
-
-def facet_lift_id(facet_id: str) -> str:
-    """Id of the unique facet lift in a glued complex."""
-    return f"{facet_id}^"
-
-
 def _natural_key(cell_id: str) -> tuple:
     """Sort key comparing embedded digit runs numerically.
 
@@ -191,33 +181,33 @@ def build_glued_complex(
         raise ZeroDimensional("cannot glue a 0-dimensional complex")
     _check_gluing(k, g)
     n = k.dim
-    cells: list[Cell] = [
-        k.cell(cid) for r in range(n - 1) for cid in k.cells_of_dim(r)
-    ]
-    cell_map: dict[str, str] = {c.id: c.id for c in cells}
-    kept = set(cell_map)
+    kept = [cid for r in range(n - 1) for cid in k.cells_of_dim(r)]
+    cells: list[Cell] = [k.cell(cid) for cid in kept]
+    cell_map: dict[str, str] = dict(zip(kept, kept))
     copy_index: dict[str, tuple[str, int]] = {}
-    copy_of: dict[tuple[str, str], str] = {}  # (side, facet) -> side copy
+    # each pair hands its side copy to both facets' lifts as it is made
+    lift_boundary: dict[str, list[str]] = {f: [] for f in k.facets}
+    new = tuple.__new__  # Cell(...) without the field-name call, about 2x faster
     for s in k.sides:
         base_boundary = k.boundary(s)
-        for j, pair in enumerate(g.pairs[s], start=1):
-            cid = side_copy_id(s, j)
-            cells.append(Cell(cid, n - 1, base_boundary))
+        for j, (a, b) in enumerate(g.pairs[s], start=1):
+            cid = f"{s}#{j}"
+            cells.append(new(Cell, (cid, n - 1, base_boundary)))
             cell_map[cid] = s
             copy_index[cid] = (s, j)
-            for f in pair:
-                copy_of[s, f] = cid
+            lift_boundary[a].append(cid)
+            lift_boundary[b].append(cid)
     facet_base: dict[str, str] = {}
-    for f in k.facets:
-        fid = facet_lift_id(f)
-        boundary = frozenset(copy_of[s, f] for s in k.boundary(f))
-        cells.append(Cell(fid, n, boundary))
+    for f, boundary in lift_boundary.items():
+        fid = f"{f}^"
+        cells.append(new(Cell, (fid, n, frozenset(boundary))))
         cell_map[fid] = f
         facet_base[fid] = f
-    clash = kept.intersection([*copy_index, *facet_base])
-    if clash:
+    # copy ids end in #<j> and lift ids in ^, so a clash is with a kept id
+    if len(cell_map) != len(cells):
+        clash = min({*copy_index, *facet_base}.intersection(kept))
         raise ParseError(
-            f"cell id {min(clash)!r} is also the id of a side copy or "
+            f"cell id {clash!r} is also the id of a side copy or "
             "facet lift in the cover; rename it"
         )
     m = build_complex(cells)
@@ -363,7 +353,7 @@ def euler_cover(
 
     # parts by rank, so the smallest index is the lexicographically first
     parts = sorted(tuple(p) for p in decompose_into_circlets(k).parts)
-    report = validate_decomposition(k, parts)  # one incidence matrix
+    report = validate_decomposition(k, parts)  # reuses decompose's matrix
     if not report.passed:
         raise NotCirclet(report.violations[0].message)
 
@@ -426,34 +416,34 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
 
     structural_ok = True
     image, target_cell = phi.get, k.cell
-    for c in m:
-        img = image(c.id)
+    for cid, dim, boundary in m:  # by position: faster than by field name
+        img = image(cid)
         try:
             tc = target_cell(img)
         except KeyError:  # a missing image (None) too
             v.append(
                 Violation(
-                    "f-cellular", (c.id,), f"{c.id!r} has no valid image"
+                    "f-cellular", (cid,), f"{cid!r} has no valid image"
                 )
             )
             structural_ok = False
             continue
-        if tc.dim != c.dim:
+        if tc[1] != dim:
             v.append(
                 Violation(
                     "f-cellular",
-                    (c.id, img),
-                    f"{c.id!r} (dim {c.dim}) maps to dim {tc.dim}",
+                    (cid, img),
+                    f"{cid!r} (dim {dim}) maps to dim {tc[1]}",
                 )
             )
             structural_ok = False
             continue
-        if set(map(image, c.boundary)) != tc.boundary:
+        if set(map(image, boundary)) != tc[2]:
             v.append(
                 Violation(
                     "f-cellular",
-                    (c.id, img),
-                    f"boundary image of {c.id!r} differs from boundary of "
+                    (cid, img),
+                    f"boundary image of {cid!r} differs from boundary of "
                     f"{img!r}",
                 )
             )

@@ -66,15 +66,18 @@ class IncidenceMatrixGF2:
 
 
 def incidence_matrix(k: Complex) -> IncidenceMatrixGF2:
-    """Build the side/facet incidence matrix of a complex of dim >= 1."""
+    """The side/facet incidence matrix of a complex of dim >= 1, kept on k."""
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no sides")
-    sides = k.sides
-    facets = k.facets
+    if (cached := k._incidence) is not None:
+        return cached
+    sides, facets = k.sides, k.facets
     bit = {s: 1 << i for i, s in enumerate(sides)}
     # a boundary names each side once, so the sum of its bits is their OR
     columns = tuple(sum(bit[s] for s in k.boundary(f)) for f in facets)
-    return IncidenceMatrixGF2(side_ids=sides, facet_ids=facets, columns=columns)
+    m = IncidenceMatrixGF2(side_ids=sides, facet_ids=facets, columns=columns)
+    object.__setattr__(k, "_incidence", m)
+    return m
 
 
 def is_even_subset(m: IncidenceMatrixGF2, facet_ids: Iterable[str]) -> bool:

@@ -150,11 +150,10 @@ def _complex_text(k: Complex, nl: str) -> str:
     tail = f'{i3}]{i2}}}'
     esc, join = _escape, ("," + i4).join
     cells = [
-        f"{head}{esc(c.id)}{dim}{c.dim:d}{wide}"
-        f"{join(map(esc, sorted(c.boundary)))}{tail}"
-        if c.boundary
-        else f"{head}{esc(c.id)}{dim}{c.dim:d}{leaf}"
-        for c in k
+        f"{head}{esc(cid)}{dim}{r:d}{wide}{join(map(esc, sorted(boundary)))}{tail}"
+        if boundary
+        else f"{head}{esc(cid)}{dim}{r:d}{leaf}"
+        for cid, r, boundary in k
     ]
     body = ("," + i2).join(cells)
     return f'{{{i1}"dimension": {k.dim:d},{i1}"cells": [{i2}{body}{i1}]{nl}}}'
@@ -185,7 +184,7 @@ def complex_from_dict(doc: Any) -> Complex:
     ):
         raise ParseError("bad types for 'dimension' or 'cells'")
     cells = []
-    append, is_str, make = cells.append, _is_str, Cell
+    append, is_str, new = cells.append, _is_str, tuple.__new__  # new: fast Cell()
     for entry in raw_cells:
         if not isinstance(entry, dict):
             raise ParseError("each cell must be a JSON object")
@@ -201,7 +200,7 @@ def complex_from_dict(doc: Any) -> Complex:
             or not all(map(is_str, boundary))
         ):
             raise ParseError(f"bad cell entry for id {cid!r}")
-        append(make(cid, dim, frozenset(boundary)))
+        append(new(Cell, (cid, dim, frozenset(boundary))))
     k = build_complex(cells)
     if k.dim != dimension:
         raise ParseError(

@@ -15,10 +15,12 @@ from itertools import combinations
 from operator import xor
 
 from circlet import (
+    Cell,
     Complex,
     CoverMap,
     DualEdge,
     DualMultigraph,
+    GluedComplex,
     Gluing,
     ValidationReport,
     Violation,
@@ -35,6 +37,7 @@ from circlet import (
     require_circlet,
     strong_components,
 )
+from circlet.errors import ParseError
 
 
 # ---- GF(2) parity by exhaustive enumeration ---------------------------
@@ -455,6 +458,43 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
             pairs.setdefault(s, []).extend(p)
     gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
     return build_glued_complex(k, gluing)[1]
+
+
+def build_glued_by_copy_map(k: Complex, g: Gluing) -> tuple[GluedComplex, CoverMap]:
+    """build_glued_complex as first written: side copies first, each one
+    recorded per (side, facet), then every facet lift looks its sides'
+    copies up in that map. Expects a gluing that partitions the facets
+    around every side.
+    """
+    n = k.dim
+    cells = [k.cell(cid) for r in range(n - 1) for cid in k.cells_of_dim(r)]
+    cell_map = {c.id: c.id for c in cells}
+    kept = set(cell_map)
+    copy_index = {}
+    copy_of = {}  # (side, facet) -> side copy
+    for s in k.sides:
+        for j, pair in enumerate(g.pairs[s], start=1):
+            cid = f"{s}#{j}"
+            cells.append(Cell(cid, n - 1, k.boundary(s)))
+            cell_map[cid] = s
+            copy_index[cid] = (s, j)
+            for f in pair:
+                copy_of[s, f] = cid
+    facet_base = {}
+    for f in k.facets:
+        fid = f"{f}^"
+        cells.append(Cell(fid, n, frozenset(copy_of[s, f] for s in k.boundary(f))))
+        cell_map[fid] = f
+        facet_base[fid] = f
+    clash = kept.intersection([*copy_index, *facet_base])
+    if clash:
+        raise ParseError(
+            f"cell id {min(clash)!r} is also the id of a side copy or "
+            "facet lift in the cover; rename it"
+        )
+    m = Complex(cells)
+    glued = GluedComplex(complex=m, copy_index=copy_index, facet_base=facet_base)
+    return glued, CoverMap(source=m, target=k, cell_map=cell_map)
 
 
 # ---- regularity from full closures ------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from circlet import (
+    Cell,
     bridges,
     cell,
     corner_link,
@@ -114,6 +115,26 @@ def test_cell_factory_coerces_types():
     c = cell("e", 1, ["b", "a"])
     assert c.boundary == frozenset({"a", "b"})
     assert c.dim == 1
+    n = cell(7, True, [2, 1])
+    assert n == Cell("7", 1, frozenset({"1", "2"}))
+    assert type(n.id) is str and type(n.dim) is int
+    assert all(type(b) is str for b in n.boundary)
+
+
+def test_cell_is_a_frozen_hashable_named_tuple():
+    c = cell("e", 1, ["a", "b"])
+    with pytest.raises(AttributeError):
+        c.id = "x"
+    with pytest.raises(AttributeError):
+        c.anything = 1
+    twin = Cell("e", 1, frozenset({"b", "a"}))
+    assert c == twin and hash(c) == hash(twin) and len({c, twin}) == 1
+    assert c != cell("e", 1, ["a", "c"])
+    # deliberate: a Cell is the tuple (id, dim, boundary)
+    assert c == ("e", 1, frozenset({"a", "b"}))
+    cid, dim, boundary = c
+    assert (cid, dim, boundary) == (c.id, c.dim, c.boundary)
+    assert c._replace(id="f") == cell("f", 1, ["a", "b"])
 
 
 def test_iteration_order_and_equality(tetra):

@@ -7,6 +7,7 @@ import oracles
 from circlet import (
     cell,
     decompose_into_circlets,
+    euler_cover,
     extract_circlet,
     find_even_subset,
     gf2,
@@ -15,6 +16,7 @@ from circlet import (
     require_circlet,
     validate_decomposition,
 )
+from circlet import matroid
 from circlet.complexes import build_complex
 from circlet.errors import (
     NotCirclet,
@@ -23,7 +25,7 @@ from circlet.errors import (
     UnknownFacet,
     ZeroDimensional,
 )
-from circlet.families import cycle, simplex_skeleton
+from circlet.families import cycle, random_even, simplex_skeleton
 
 DELTA52_PARTS = (
     ("1-2-4", "1-2-5", "1-3-4", "1-3-5", "2-3-4", "2-3-5"),
@@ -70,6 +72,38 @@ def test_packed_matches_int_columns():
     assert [{m.side_ids[i] for i in r} for r in rows] == [
         set(k.boundary(f)) for f in m.facet_ids
     ]
+
+
+@pytest.fixture
+def built_matrices(monkeypatch):
+    """Every IncidenceMatrixGF2 that incidence_matrix constructs."""
+    built, real = [], matroid.IncidenceMatrixGF2
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(matroid, "IncidenceMatrixGF2", spy)
+    return built
+
+
+def test_one_incidence_matrix_per_complex(built_matrices):
+    k = random_even(1, 5)  # fresh: nothing kept on it yet
+    assert incidence_matrix(k) is incidence_matrix(k)
+    assert len(built_matrices) == 1
+
+
+def test_cover_builds_one_incidence_matrix(built_matrices):
+    euler_cover(random_even(1, 5))
+    assert len(built_matrices) == 1
+
+
+def test_cover_reuses_the_decomposition_matrix(built_matrices):
+    k = random_even(2, 5)
+    decompose_into_circlets(k)
+    euler_cover(k)
+    assert len(built_matrices) == 1
+    assert built_matrices[0] is incidence_matrix(k)
 
 
 def test_column_index_unknown_facet(tetra):

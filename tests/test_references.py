@@ -9,6 +9,10 @@ against one extraction per part on mutated partitions. euler_cover
 folds the circlets' pairings straight off the complex and builds once;
 the references chain merge_covers (small inputs) or fold one induced
 subcomplex and gluing per circlet (inputs of benchmark size).
+build_glued_complex hands each side copy to its pair's facet lifts as it
+makes it; the reference keys every copy by (side, facet) and looks the
+lifts' boundaries up afterwards, on canonical, seeded and folded gluings
+and on ids renamed so that lifts and copies sort unlike their bases.
 verify_cover counts corner-link degrees off the coface tables; the
 reference builds each corner's link multigraph, on covers, mutated cell
 maps and swapped ends. validate_regularity reads two levels of the
@@ -30,11 +34,14 @@ from circlet import (
     Cell,
     Complex,
     CoverMap,
+    build_glued_complex,
+    canonical_gluing,
     corner_link,
     decompose_into_circlets,
     dual_multigraph,
     euler_cover,
     extract_circlet,
+    gluing_from_cover,
     incidence_matrix,
     validate_decomposition,
     validate_regularity,
@@ -45,6 +52,7 @@ from circlet.errors import (
     CircletError,
     DanglingReference,
     DuplicateCellId,
+    ParseError,
 )
 from circlet.families import (
     crosspolytope_skeleton,
@@ -400,6 +408,102 @@ def test_fold_sizes_match_subcomplex_fold(case, strategy, seed):
     k = FOLD_SIZE_CASES[case]()
     assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
         oracles.fold_by_subcomplexes(k, strategy, seed)
+    )
+
+
+# ---- glued build --------------------------------------------------------
+
+
+def awkwardly_renamed(k, rng):
+    """k with ids whose lifts and copies sort unlike the ids they come from.
+
+    Per dimension, in a random order, facets become f, f0, f1, ... (f < f0
+    and f1 < f10, but f0^ < f^ and f10^ < f1^), sides become s, s#1, s#2,
+    ... (s#10 < s#2, like generated copies), and lower cells v<r>.<i>.
+    """
+    names = {}
+    for r in range(k.dim + 1):
+        ids = list(k.cells_of_dim(r))
+        rng.shuffle(ids)
+        for i, cid in enumerate(ids):
+            if r == k.dim:
+                names[cid] = f"f{i - 1}" if i else "f"
+            elif r == k.dim - 1:
+                names[cid] = f"s#{i}" if i else "s"
+            else:
+                names[cid] = f"v{r}.{i}"
+    return Complex(
+        [Cell(names[c.id], c.dim, frozenset(map(names.get, c.boundary))) for c in k]
+    )
+
+
+def assert_glued_builds_agree(k, g):
+    glued, cover = build_glued_complex(k, g)
+    ref, ref_cover = oracles.build_glued_by_copy_map(k, g)
+    assert glued.complex == ref.complex
+    assert glued.copy_index == ref.copy_index
+    assert glued.facet_base == ref.facet_base
+    assert cover.cell_map == ref_cover.cell_map
+    assert cover.source is glued.complex and cover.target is k
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 10**6),
+    size=st.integers(1, 12),
+    rename=st.booleans(),
+    rng=st.randoms(),
+)
+def test_glued_build_matches_copy_map(strategy, seed, n, size, rename, rng):
+    k = random_even(n, size)
+    if rename:
+        k = awkwardly_renamed(k, rng)
+    # one pairing of the whole complex, and the fold over its circlets
+    assert_glued_builds_agree(k, canonical_gluing(k, strategy, seed))
+    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, strategy, seed)))
+
+
+GLUED_CASES = {
+    "finned3_20": lambda: finned_circlet(3, 20),  # 10 copies: s#2 and s#10
+    "finned_chain4": lambda: builders.finned_chain(4),
+    "delta6_3": lambda: simplex_skeleton(7, 3),
+    "multigraph5": lambda: random_even_multigraph(5),
+    # 1-dimensional: two vertices under 20 parallel edges, nothing kept
+    "dipole20": lambda: Complex(
+        [Cell(v, 0, frozenset()) for v in ("s", "s#1")]
+        + [Cell(f"f{i}", 1, frozenset({"s", "s#1"})) for i in range(20)]
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("rename", [False, True])
+@pytest.mark.parametrize("case", sorted(GLUED_CASES))
+def test_glued_cases_match_copy_map(case, rename, strategy, seed):
+    k = GLUED_CASES[case]()
+    if rename:
+        k = awkwardly_renamed(k, random.Random(seed))
+    assert_glued_builds_agree(k, canonical_gluing(k, strategy, seed))
+    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, strategy, seed)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_glued_id_clash_matches_copy_map(seed):
+    # a lower cell renamed to a side copy's or a facet lift's id
+    rng = random.Random(seed)
+    k = random_even(seed, 3)
+    victim = rng.choice(k.cells_of_dim(0))
+    taken = rng.choice([f"{rng.choice(k.sides)}#1", f"{rng.choice(k.facets)}^"])
+    k = builders.renamed(k, victim, taken)
+    g = canonical_gluing(k)
+    with pytest.raises(ParseError) as got:
+        build_glued_complex(k, g)
+    with pytest.raises(ParseError) as ref:
+        oracles.build_glued_by_copy_map(k, g)
+    assert str(got.value) == str(ref.value) == (
+        f"cell id {taken!r} is also the id of a side copy or facet lift in "
+        "the cover; rename it"
     )
 
 
