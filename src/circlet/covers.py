@@ -187,7 +187,7 @@ def build_glued_complex(
     copy_index: dict[str, tuple[str, int]] = {}
     # each pair hands its side copy to both facets' lifts as it is made
     lift_boundary: dict[str, list[str]] = {f: [] for f in k.facets}
-    new = tuple.__new__  # Cell(...) without the field-name call, about 2x faster
+    new = tuple.__new__  # new(Cell, fields) skips Cell.__new__: half the cost
     for s in k.sides:
         base_boundary = k.boundary(s)
         for j, (a, b) in enumerate(g.pairs[s], start=1):

@@ -184,7 +184,7 @@ def complex_from_dict(doc: Any) -> Complex:
     ):
         raise ParseError("bad types for 'dimension' or 'cells'")
     cells = []
-    append, is_str, new = cells.append, _is_str, tuple.__new__  # new: fast Cell()
+    append, is_str, new = cells.append, _is_str, tuple.__new__  # as in covers
     for entry in raw_cells:
         if not isinstance(entry, dict):
             raise ParseError("each cell must be a JSON object")
