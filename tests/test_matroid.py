@@ -13,10 +13,10 @@ from circlet import (
     gf2,
     incidence_matrix,
     is_even_subset,
+    matroid,
     require_circlet,
     validate_decomposition,
 )
-from circlet import matroid
 from circlet.complexes import build_complex
 from circlet.errors import (
     NotCirclet,
