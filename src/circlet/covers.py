@@ -102,7 +102,7 @@ def _pair_up(over: list[str], rng: random.Random | None) -> list[tuple[str, str]
     """Consecutive facets as sorted pairs; shuffles ``over`` first if rng is set."""
     if rng is not None:
         rng.shuffle(over)
-    return [(min(a, b), max(a, b)) for a, b in zip(over[::2], over[1::2])]
+    return [(a, b) if a < b else (b, a) for a, b in zip(over[::2], over[1::2])]
 
 
 def canonical_gluing(
