@@ -8,9 +8,11 @@ log-log slope of that time against the facet count from the rung below
 in the same ladder, and the first 16 hex digits of the sha256 of the
 canonical JSON of the decomposition, the cover and the verify report.
 Every repeat checks that all three are the same as on the first run.
-A complex keeps its incidence matrix once built, so each repeat hands
-decompose_into_circlets and euler_cover a fresh copy of the rung's
-complex, built outside the timing: no repeat reuses an earlier matrix.
+A complex keeps its incidence matrix and its circlet decomposition once
+built, so each repeat hands decompose_into_circlets and euler_cover a
+fresh copy of the rung's complex, built outside the timing: no repeat
+reuses an earlier matrix or decomposition, and the cover column times a
+full peel.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """

@@ -93,8 +93,10 @@ class Complex:
     Construction inverts the boundary relation into a coface map (cell
     -> the cells one dimension up, sorted); side degrees, purity,
     :meth:`facets_over` and :func:`corner_link` read it, never scanning.
-    The dual multigraph, the strong components and the incidence matrix
-    (:func:`circlet.matroid.incidence_matrix`) are kept once asked for.
+    The dual multigraph, the strong components, the incidence matrix
+    (:func:`circlet.matroid.incidence_matrix`) and the circlet
+    decomposition (:func:`circlet.matroid.decompose_into_circlets`) are
+    kept once asked for.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -111,6 +113,7 @@ class Complex:
         "_dual",
         "_components",
         "_incidence",
+        "_decomposition",
     )
 
     def __init__(self, cells: Iterable[Cell]):
@@ -171,6 +174,7 @@ class Complex:
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_components", None)
         object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_decomposition", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Complex is immutable")

@@ -160,7 +160,7 @@ def _check_gluing(k: Complex, g: Gluing) -> None:
             if a == b:
                 raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
             flat += [a, b]
-        if sorted(flat) != sorted(k.facets_over(s)):
+        if tuple(sorted(flat)) != k.facets_over(s):  # facets_over is sorted
             raise GluingMismatch(
                 f"pairs at {s!r} do not partition its facets"
             )
@@ -273,7 +273,7 @@ def gluing_from_cover(cover: CoverMap) -> Gluing:
                 )
             chunk.append((a, b))
         flat = [f for p in chunk for f in p]
-        if sorted(flat) != sorted(k.facets_over(s)):
+        if tuple(sorted(flat)) != k.facets_over(s):
             raise InvalidCover(f"pairs at {s!r} do not partition its facets")
         pairs[s] = tuple(chunk)
     return Gluing(pairs=pairs)

@@ -57,10 +57,14 @@ class IncidenceMatrixGF2:
     def column_index(self, facet_ids: Iterable[str]) -> list[int]:
         lookup = self._columns
         out = []
-        for f in facet_ids:
+        ids = iter(facet_ids)
+        for f in ids:
             j = lookup.get(f)
             if j is None:
-                raise UnknownFacet(f"{f!r} is not a facet column")
+                # the smallest unknown id, so the message is the same in any
+                # iteration order; the ids before f are all known
+                bad = min(g for g in (f, *ids) if g not in lookup)
+                raise UnknownFacet(f"{bad!r} is not a facet column")
             out.append(j)
         return out
 
@@ -158,7 +162,14 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     stays even; once the scan finds no dependency, the smallest facet with
     what is left is the last circlet, and the one evenness check is made
     there.
+
+    The decomposition is kept on k, so later calls, those of
+    :func:`circlet.covers.euler_cover` among them, return it without
+    peeling again. Only a success is kept: NotPure and NotEven are raised
+    afresh on every call.
     """
+    if (cached := k._decomposition) is not None:
+        return cached
     profile = degree_profile(k)
     if not profile.is_pure:
         raise NotPure("decomposition needs a pure complex")
@@ -184,7 +195,9 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     if reduce(xor, (cols[p] for p in last)):
         raise NotEven("starting facet set is not even")
     parts.append(tuple(facets[p] for p in last))
-    return CircletDecomposition(parts=tuple(parts))
+    d = CircletDecomposition(parts=tuple(parts))
+    object.__setattr__(k, "_decomposition", d)
+    return d
 
 
 def validate_decomposition(

@@ -111,6 +111,13 @@ def test_complex_is_immutable(tetra):
         tetra.anything = 1
 
 
+def test_every_slot_is_set_by_construction(tetra, delta52):
+    # a kept-structure slot left unset would raise AttributeError on first read
+    for k in (tetra, delta52, build_complex([cell("a", 0)])):
+        for name in Complex.__slots__:
+            getattr(k, name)
+
+
 def test_cell_factory_coerces_types():
     c = cell("e", 1, ["b", "a"])
     assert c.boundary == frozenset({"a", "b"})

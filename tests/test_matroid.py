@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import builders
 import oracles
+import circlet
 from circlet import (
+    Complex,
     cell,
     decompose_into_circlets,
     euler_cover,
@@ -15,6 +21,7 @@ from circlet import (
     is_even_subset,
     matroid,
     require_circlet,
+    serialize,
     validate_decomposition,
 )
 from circlet.complexes import build_complex
@@ -106,10 +113,98 @@ def test_cover_reuses_the_decomposition_matrix(built_matrices):
     assert built_matrices[0] is incidence_matrix(k)
 
 
+@pytest.fixture
+def dropped_columns(monkeypatch):
+    """Every column gf2.drop_column removes from a peel's basis."""
+    dropped, real = [], gf2.drop_column
+
+    def spy(basis, x):
+        dropped.append(x)
+        return real(basis, x)
+
+    monkeypatch.setattr(gf2, "drop_column", spy)
+    return dropped
+
+
+def test_decomposition_is_kept():
+    k = random_even(1, 5)
+    assert decompose_into_circlets(k) is decompose_into_circlets(k)
+
+
+def test_cover_reuses_the_kept_decomposition(dropped_columns):
+    k = random_even(2, 5)
+    decompose_into_circlets(k)
+    assert dropped_columns  # the first call peels
+    dropped_columns.clear()
+    cover = euler_cover(k)
+    assert dropped_columns == []
+    fresh = euler_cover(Complex(k))
+    assert dropped_columns  # a copy keeps nothing and peels again
+    assert serialize.dumps(serialize.cover_to_dict(cover)) == serialize.dumps(
+        serialize.cover_to_dict(fresh)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (builders.path_graph, NotEven),
+        (lambda: simplex_skeleton(5, 2), NotEven),
+        (builders.triangle_with_extra_vertex, NotPure),
+    ],
+    ids=["path", "delta42", "impure"],
+)
+def test_failed_decomposition_is_not_kept(make, error):
+    k = make()
+    for _ in range(3):
+        with pytest.raises(error):
+            decompose_into_circlets(k)
+        assert k._decomposition is None
+
+
+def test_a_copy_starts_with_nothing_kept():
+    k = random_even(1, 5)
+    decompose_into_circlets(k)
+    euler_cover(k)
+    copy = Complex(k)
+    assert (copy._dual, copy._components, copy._incidence, copy._decomposition) == (
+        None,
+    ) * 4
+    assert decompose_into_circlets(copy) == decompose_into_circlets(k)
+
+
 def test_column_index_unknown_facet(tetra):
     m = incidence_matrix(tetra)
     with pytest.raises(UnknownFacet):
         m.column_index(["9-9-9"])
+    # the smallest unknown id, whatever the order and wherever it comes
+    for order in (["zz", "qq", "xx"], ["xx", "zz", "qq"], [*m.facet_ids, "zz", "qq"]):
+        with pytest.raises(UnknownFacet, match="^'qq' is not a facet column$"):
+            m.column_index(iter(order))
+
+
+def test_unknown_facet_message_under_any_hash_seed():
+    script = (
+        "from circlet import incidence_matrix, is_even_subset\n"
+        "from circlet.errors import UnknownFacet\n"
+        "from circlet.families import simplex_skeleton\n"
+        "try:\n"
+        "    is_even_subset(incidence_matrix(simplex_skeleton(5, 2)), {'zz', 'qq', 'xx'})\n"
+        "except UnknownFacet as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(circlet.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        outs.add(proc.stdout)
+    assert outs == {"'qq' is not a facet column\n"}
 
 
 def test_incidence_rejects_points():
