@@ -126,16 +126,12 @@ def dropped_columns(monkeypatch):
     return dropped
 
 
-def test_decomposition_is_kept():
-    k = random_even(1, 5)
-    assert decompose_into_circlets(k) is decompose_into_circlets(k)
-
-
 def test_cover_reuses_the_kept_decomposition(dropped_columns):
     k = random_even(2, 5)
-    decompose_into_circlets(k)
+    kept = decompose_into_circlets(k)
     assert dropped_columns  # the first call peels
     dropped_columns.clear()
+    assert decompose_into_circlets(k) is kept
     cover = euler_cover(k)
     assert dropped_columns == []
     fresh = euler_cover(Complex(k))
@@ -143,23 +139,6 @@ def test_cover_reuses_the_kept_decomposition(dropped_columns):
     assert serialize.dumps(serialize.cover_to_dict(cover)) == serialize.dumps(
         serialize.cover_to_dict(fresh)
     )
-
-
-@pytest.mark.parametrize(
-    "make, error",
-    [
-        (builders.path_graph, NotEven),
-        (lambda: simplex_skeleton(5, 2), NotEven),
-        (builders.triangle_with_extra_vertex, NotPure),
-    ],
-    ids=["path", "delta42", "impure"],
-)
-def test_failed_decomposition_is_not_kept(make, error):
-    k = make()
-    for _ in range(3):
-        with pytest.raises(error):
-            decompose_into_circlets(k)
-        assert k._decomposition is None
 
 
 def test_a_copy_starts_with_nothing_kept():
@@ -322,15 +301,19 @@ def test_decompose_grid_into_cycles(grid):
 
 
 def test_decompose_rejects_uneven(delta42):
-    with pytest.raises(NotEven):
-        decompose_into_circlets(delta42)
-    with pytest.raises(NotEven):
-        decompose_into_circlets(builders.path_graph())
+    for k in (delta42, builders.path_graph()):
+        for _ in range(2):  # a failure keeps nothing and is raised again
+            with pytest.raises(NotEven):
+                decompose_into_circlets(k)
+            assert k._decomposition is None
 
 
 def test_decompose_rejects_impure():
-    with pytest.raises(NotPure):
-        decompose_into_circlets(builders.triangle_with_extra_vertex())
+    k = builders.triangle_with_extra_vertex()
+    for _ in range(2):
+        with pytest.raises(NotPure):
+            decompose_into_circlets(k)
+        assert k._decomposition is None
 
 
 # ---- decomposition validation -----------------------------------------
