@@ -31,8 +31,6 @@ from .complexes import (
 )
 from .covers import (
     CoverMap,
-    GluedComplex,
-    Gluing,
     SideTour,
     build_glued_complex,
     canonical_gluing,
@@ -88,8 +86,6 @@ __all__ = [
     "CircletDecomposition",
     "decompose_into_circlets",
     "validate_decomposition",
-    "Gluing",
-    "GluedComplex",
     "CoverMap",
     "SideTour",
     "canonical_gluing",

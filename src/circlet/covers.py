@@ -52,8 +52,6 @@ from .errors import (
 from .matroid import decompose_into_circlets, require_circlet, validate_decomposition
 
 __all__ = [
-    "Gluing",
-    "GluedComplex",
     "CoverMap",
     "SideTour",
     "canonical_gluing",
@@ -79,16 +77,10 @@ def _natural_key(cell_id: str) -> tuple:
 
 # ---- gluings ----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Gluing:
-    """Per side, an ordered partition of its facets into unordered pairs.
-
-    ``pairs[s]`` is a tuple of 2-tuples; each inner pair is sorted, the
-    outer order is meaningful (it numbers the side copies).
-    """
-
-    pairs: Mapping[str, tuple[tuple[str, str], ...]]
+# A gluing: per side, an ordered partition of its facets into unordered
+# pairs. ``g[s]`` is a tuple of 2-tuples; each inner pair is sorted, the
+# outer order is meaningful (it numbers the side copies).
+_Gluing = dict[str, tuple[tuple[str, str], ...]]
 
 
 def _rng(strategy: str, seed: int) -> random.Random | None:
@@ -107,7 +99,7 @@ def _pair_up(over: list[str], rng: random.Random | None) -> list[tuple[str, str]
 
 def canonical_gluing(
     k: Complex, strategy: str = "canonical", seed: int = 0
-) -> Gluing:
+) -> _Gluing:
     """Pair the facets around every side of an even complex.
 
     ``canonical`` pairs consecutive facets in id order; ``seeded``
@@ -118,7 +110,7 @@ def canonical_gluing(
     profile = degree_profile(k)
     if not profile.is_even:
         raise NotEven("gluing needs every side degree positive and even")
-    return Gluing({s: tuple(_pair_up(list(k.facets_over(s)), rng)) for s in k.sides})
+    return {s: tuple(_pair_up(list(k.facets_over(s)), rng)) for s in k.sides}
 
 
 # ---- glued complexes --------------------------------------------------
@@ -138,25 +130,12 @@ class CoverMap:
         )
 
 
-@dataclass(frozen=True)
-class GluedComplex:
-    """The total space of a gluing plus its bookkeeping.
-
-    ``copy_index`` sends each side copy to (base side, 1-based index);
-    ``facet_base`` sends each facet lift to the facet it covers.
-    """
-
-    complex: Complex
-    copy_index: Mapping[str, tuple[str, int]]
-    facet_base: Mapping[str, str]
-
-
-def _check_gluing(k: Complex, g: Gluing) -> None:
-    if set(g.pairs) != set(k.sides):
+def _check_gluing(k: Complex, g: _Gluing) -> None:
+    if set(g) != set(k.sides):
         raise GluingMismatch("gluing sides differ from the complex's sides")
     for s in k.sides:
         flat: list[str] = []
-        for a, b in g.pairs[s]:
+        for a, b in g[s]:
             if a == b:
                 raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
             flat += [a, b]
@@ -166,10 +145,8 @@ def _check_gluing(k: Complex, g: Gluing) -> None:
             )
 
 
-def build_glued_complex(
-    k: Complex, g: Gluing
-) -> tuple[GluedComplex, CoverMap]:
-    """Materialize the complex a gluing describes, plus its projection.
+def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
+    """The cover a gluing describes: the glued complex projected onto k.
 
     Cells of dimension at most n-2 are taken over verbatim. Every side s
     becomes copies s#1 .. s#r (r pairs), each attached exactly like s.
@@ -184,35 +161,29 @@ def build_glued_complex(
     kept = [cid for r in range(n - 1) for cid in k.cells_of_dim(r)]
     cells: list[Cell] = [k.cell(cid) for cid in kept]
     cell_map: dict[str, str] = dict(zip(kept, kept))
-    copy_index: dict[str, tuple[str, int]] = {}
     # each pair hands its side copy to both facets' lifts as it is made
     lift_boundary: dict[str, list[str]] = {f: [] for f in k.facets}
     new = tuple.__new__  # new(Cell, fields) skips Cell.__new__: half the cost
     for s in k.sides:
         base_boundary = k.boundary(s)
-        for j, (a, b) in enumerate(g.pairs[s], start=1):
+        for j, (a, b) in enumerate(g[s], start=1):
             cid = f"{s}#{j}"
             cells.append(new(Cell, (cid, n - 1, base_boundary)))
             cell_map[cid] = s
-            copy_index[cid] = (s, j)
             lift_boundary[a].append(cid)
             lift_boundary[b].append(cid)
-    facet_base: dict[str, str] = {}
     for f, boundary in lift_boundary.items():
         fid = f"{f}^"
         cells.append(new(Cell, (fid, n, frozenset(boundary))))
         cell_map[fid] = f
-        facet_base[fid] = f
     # copy ids end in #<j> and lift ids in ^, so a clash is with a kept id
     if len(cell_map) != len(cells):
-        clash = min({*copy_index, *facet_base}.intersection(kept))
+        clash = min(set(kept).intersection(c.id for c in cells[len(kept):]))
         raise ParseError(
             f"cell id {clash!r} is also the id of a side copy or "
             "facet lift in the cover; rename it"
         )
-    m = build_complex(cells)
-    glued = GluedComplex(complex=m, copy_index=copy_index, facet_base=facet_base)
-    return glued, CoverMap(source=m, target=k, cell_map=cell_map)
+    return CoverMap(source=build_complex(cells), target=k, cell_map=cell_map)
 
 
 def cover_circlet(
@@ -220,15 +191,13 @@ def cover_circlet(
 ) -> CoverMap:
     """A pseudomanifold cover of a single circlet."""
     require_circlet(c)
-    g = canonical_gluing(c, strategy=strategy, seed=seed)
-    _, cover = build_glued_complex(c, g)
-    return cover
+    return build_glued_complex(c, canonical_gluing(c, strategy=strategy, seed=seed))
 
 
 # ---- reading a gluing back off a cover -------------------------------
 
 
-def gluing_from_cover(cover: CoverMap) -> Gluing:
+def gluing_from_cover(cover: CoverMap) -> _Gluing:
     """Recover the gluing a cover encodes.
 
     Each source side lies under exactly two facets; their images form one
@@ -256,7 +225,7 @@ def gluing_from_cover(cover: CoverMap) -> Gluing:
             raise InvalidCover(f"side {s_hat!r} maps to non-side {img!r}")
         by_side[img].append(s_hat)
 
-    pairs: dict[str, tuple[tuple[str, str], ...]] = {}
+    pairs: _Gluing = {}
     for s in k.sides:
         ordered = sorted(by_side[s], key=_natural_key)
         chunk: list[tuple[str, str]] = []
@@ -276,7 +245,7 @@ def gluing_from_cover(cover: CoverMap) -> Gluing:
         if tuple(sorted(flat)) != k.facets_over(s):
             raise InvalidCover(f"pairs at {s!r} do not partition its facets")
         pairs[s] = tuple(chunk)
-    return Gluing(pairs=pairs)
+    return pairs
 
 
 # ---- merging covers ---------------------------------------------------
@@ -316,15 +285,14 @@ def merge_covers(
 
     g_l = gluing_from_cover(cover_l)
     g_c = gluing_from_cover(cover_c)
-    pairs: dict[str, tuple[tuple[str, str], ...]] = {}
+    pairs: _Gluing = {}
     for s in union.sides:
-        left = list(g_l.pairs.get(s, ()))
-        right = list(g_c.pairs.get(s, ()))
+        left = list(g_l.get(s, ()))
+        right = list(g_c.get(s, ()))
         if s == side_id:
             _repair(left, right)
         pairs[s] = tuple(left + right)
-    _, cover = build_glued_complex(union, Gluing(pairs=pairs))
-    return cover
+    return build_glued_complex(union, pairs)
 
 
 # ---- the main construction -------------------------------------------
@@ -387,8 +355,7 @@ def euler_cover(
         for s, p in piece.items():
             if pairs.setdefault(s, p) is not p:
                 pairs[s] += p
-    gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
-    return build_glued_complex(k, gluing)[1]
+    return build_glued_complex(k, {s: tuple(p) for s, p in pairs.items()})
 
 
 # ---- verification -----------------------------------------------------

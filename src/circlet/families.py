@@ -285,22 +285,22 @@ def random_even_multigraph(seed: int, max_vertices: int = 12) -> Complex:
 
     first = rng.randint(2, min(5, max_vertices))
     current: dict[str, Cell] = {c.id: c for c in raw_cycle(first, "a0.", None)}
-    graph = build_complex(current.values())
+    vertices = sorted(c.id for c in current.values() if c.dim == 0)
     tags = "abcdefghijklmnop"
     step = 0
     while True:
         step += 1
-        vertices = [c for c in graph.cells_of_dim(0)]
         budget = max_vertices - len(vertices)
         if budget < 1 or step >= len(tags) or rng.random() < 0.3:
             break
         n = rng.randint(2, min(5, budget + 1))
-        shared = rng.choice(sorted(vertices))
+        shared = rng.choice(vertices)
         for c in raw_cycle(n, f"{tags[step]}{step}.", shared):
             if c.id not in current:
                 current[c.id] = c
-        graph = build_complex(current.values())
-    return graph
+                if c.dim == 0:
+                    bisect.insort(vertices, c.id)
+    return build_complex(current.values())
 
 
 @dataclass(frozen=True)

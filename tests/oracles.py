@@ -20,8 +20,6 @@ from circlet import (
     CoverMap,
     DualEdge,
     DualMultigraph,
-    GluedComplex,
-    Gluing,
     ValidationReport,
     Violation,
     build_glued_complex,
@@ -448,7 +446,7 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
     for i in fold:
         require_circlet(subs[i])
         g = canonical_gluing(subs[i], strategy=strategy, seed=seed)
-        piece = {s: list(p) for s, p in g.pairs.items()}
+        piece = {s: list(p) for s, p in g.items()}
         if pairs:
             shared = min(side_sets[i].intersection(pairs))
             (sigma, tau), (mu, lam) = pairs[shared][0], piece[shared][0]
@@ -456,11 +454,10 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
             piece[shared][0] = tuple(sorted((tau, lam)))
         for s, p in piece.items():
             pairs.setdefault(s, []).extend(p)
-    gluing = Gluing(pairs={s: tuple(p) for s, p in pairs.items()})
-    return build_glued_complex(k, gluing)[1]
+    return build_glued_complex(k, {s: tuple(p) for s, p in pairs.items()})
 
 
-def build_glued_by_copy_map(k: Complex, g: Gluing) -> tuple[GluedComplex, CoverMap]:
+def build_glued_by_copy_map(k: Complex, g: dict) -> CoverMap:
     """build_glued_complex as first written: side copies first, each one
     recorded per (side, facet), then every facet lift looks its sides'
     copies up in that map. Expects a gluing that partitions the facets
@@ -470,31 +467,28 @@ def build_glued_by_copy_map(k: Complex, g: Gluing) -> tuple[GluedComplex, CoverM
     cells = [k.cell(cid) for r in range(n - 1) for cid in k.cells_of_dim(r)]
     cell_map = {c.id: c.id for c in cells}
     kept = set(cell_map)
-    copy_index = {}
+    generated = []
     copy_of = {}  # (side, facet) -> side copy
     for s in k.sides:
-        for j, pair in enumerate(g.pairs[s], start=1):
+        for j, pair in enumerate(g[s], start=1):
             cid = f"{s}#{j}"
             cells.append(Cell(cid, n - 1, k.boundary(s)))
             cell_map[cid] = s
-            copy_index[cid] = (s, j)
+            generated.append(cid)
             for f in pair:
                 copy_of[s, f] = cid
-    facet_base = {}
     for f in k.facets:
         fid = f"{f}^"
         cells.append(Cell(fid, n, frozenset(copy_of[s, f] for s in k.boundary(f))))
         cell_map[fid] = f
-        facet_base[fid] = f
-    clash = kept.intersection([*copy_index, *facet_base])
+        generated.append(fid)
+    clash = kept.intersection(generated)
     if clash:
         raise ParseError(
             f"cell id {min(clash)!r} is also the id of a side copy or "
             "facet lift in the cover; rename it"
         )
-    m = Complex(cells)
-    glued = GluedComplex(complex=m, copy_index=copy_index, facet_base=facet_base)
-    return glued, CoverMap(source=m, target=k, cell_map=cell_map)
+    return CoverMap(source=Complex(cells), target=k, cell_map=cell_map)
 
 
 # ---- regularity from full closures ------------------------------------

@@ -6,7 +6,6 @@ import builders
 from circlet import (
     CircletDecomposition,
     CoverMap,
-    Gluing,
     build_glued_complex,
     canonical_gluing,
     cover_circlet,
@@ -60,20 +59,20 @@ def assert_pseudomanifold(m):
 
 def test_canonical_gluing_octahedron(octahedron):
     g = canonical_gluing(octahedron)
-    assert set(g.pairs) == set(octahedron.sides)
+    assert set(g) == set(octahedron.sides)
     for s in octahedron.sides:
-        assert len(g.pairs[s]) == 1
-        a, b = g.pairs[s][0]
+        assert len(g[s]) == 1
+        a, b = g[s][0]
         assert a < b
         assert {a, b} == set(octahedron.facets_over(s))
-    assert sum(len(p) for p in g.pairs.values()) == 12
+    assert sum(len(p) for p in g.values()) == 12
 
 
 def test_canonical_gluing_pairs_consecutive(delta52):
     g = canonical_gluing(delta52)
     for s in delta52.sides:
         over = delta52.facets_over(s)
-        assert g.pairs[s] == ((over[0], over[1]), (over[2], over[3]))
+        assert g[s] == ((over[0], over[1]), (over[2], over[3]))
 
 
 def test_seeded_gluing_deterministic(delta52):
@@ -98,58 +97,60 @@ def test_gluing_rejects_uneven(delta42):
 
 
 def test_build_glued_counts(delta52, octahedron):
-    glued, cover = build_glued_complex(delta52, canonical_gluing(delta52))
-    m = glued.complex
+    cover = build_glued_complex(delta52, canonical_gluing(delta52))
+    m = cover.source
     assert [len(m.cells_of_dim(r)) for r in range(3)] == [6, 30, 20]
-    assert m is cover.source
-    glued, _ = build_glued_complex(octahedron, canonical_gluing(octahedron))
-    assert [len(glued.complex.cells_of_dim(r)) for r in range(3)] == [6, 12, 8]
+    assert cover.target is delta52
+    m = build_glued_complex(octahedron, canonical_gluing(octahedron)).source
+    assert [len(m.cells_of_dim(r)) for r in range(3)] == [6, 12, 8]
 
 
 def test_side_copy_count_is_half_degree_sum(delta52):
-    glued, _ = build_glued_complex(delta52, canonical_gluing(delta52))
+    cover = build_glued_complex(delta52, canonical_gluing(delta52))
     total = sum(delta52.side_degrees.values())
-    assert len(glued.complex.sides) == total // 2
+    assert len(cover.source.sides) == total // 2
 
 
 def test_glued_bookkeeping(delta52):
-    glued, cover = build_glued_complex(delta52, canonical_gluing(delta52))
-    for copy, (base, j) in glued.copy_index.items():
-        assert cover.cell_map[copy] == base
-        assert copy == f"{base}#{j}"
-    assert sorted(glued.facet_base.values()) == sorted(delta52.facets)
-    for r in range(delta52.dim - 1):
-        for cid in delta52.cells_of_dim(r):
-            assert cover.cell_map[cid] == cid
+    g = canonical_gluing(delta52)
+    cover = build_glued_complex(delta52, g)
+    expected = {f"{s}#{j}": s for s in g for j in range(1, len(g[s]) + 1)}
+    expected.update((f"{f}^", f) for f in delta52.facets)
+    expected.update(
+        (cid, cid)
+        for r in range(delta52.dim - 1)
+        for cid in delta52.cells_of_dim(r)
+    )
+    assert cover.cell_map == expected
+    assert set(cover.source.sides) == {c for c in expected if "#" in c}
+    assert set(cover.source.facets) == {c for c in expected if c.endswith("^")}
 
 
 def test_glued_side_copies_have_degree_two(delta52):
     # a bare gluing guarantees degree two everywhere, but not
     # connectivity; stitching components together is euler_cover's job
-    glued, _ = build_glued_complex(delta52, canonical_gluing(delta52))
-    m = glued.complex
+    m = build_glued_complex(delta52, canonical_gluing(delta52)).source
     assert m.is_pure
     assert set(m.side_degrees.values()) == {2}
     assert len(strong_components(m)) == 4
 
 
 def test_build_rejects_corrupt_gluing(octahedron):
-    g = canonical_gluing(octahedron)
-    pairs = dict(g.pairs)
+    pairs = canonical_gluing(octahedron)
     s = octahedron.sides[0]
     a, b = pairs[s][0]
     pairs[s] = ((a, a),)
     with pytest.raises(GluingMismatch):
-        build_glued_complex(octahedron, Gluing(pairs=pairs))
+        build_glued_complex(octahedron, pairs)
     del pairs[s]
     with pytest.raises(GluingMismatch):
-        build_glued_complex(octahedron, Gluing(pairs=pairs))
+        build_glued_complex(octahedron, pairs)
 
 
 def test_build_rejects_points():
     points = build_complex([builders.cell("a", 0), builders.cell("b", 0)])
     with pytest.raises(ZeroDimensional):
-        build_glued_complex(points, Gluing(pairs={}))
+        build_glued_complex(points, {})
 
 
 # ---- circlet covers ---------------------------------------------------
@@ -182,8 +183,7 @@ def test_gluing_round_trip(delta52, octahedron, cube):
     for k in (delta52, octahedron, cube):
         for strategy, seed in (("canonical", 0), ("seeded", 3), ("seeded", 11)):
             g = canonical_gluing(k, strategy, seed)
-            _, cover = build_glued_complex(k, g)
-            assert gluing_from_cover(cover) == g
+            assert gluing_from_cover(build_glued_complex(k, g)) == g
 
 
 def test_gluing_from_cover_rejects_tampering(octahedron):

@@ -1,11 +1,15 @@
 """Every name the package and its modules export resolves.
 
 A deletion that leaves its name in an ``__all__`` breaks ``import *``
-only; this catches it at once.
+only; this catches it at once. The same holds for the call sites the
+benchmark's tracer (``perfbench/tracer.py``) wraps by attribute name:
+deleting one would break only the traced benchmark run.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,25 @@ MODULES = [
     ),
 ]
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_tracer_wraps_and_restores_every_target():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [(owner, attr) for owner, attr, _, _ in tracer.TARGETS]
+    # checked before entering: a missing target would leave the ones
+    # before it wrapped
+    assert [(o, a) for o, a in sites if a not in vars(o)] == []
+    before = [vars(owner)[attr] for owner, attr in sites]
+    with tracer.Tracer():
+        inside = [vars(owner)[attr] for owner, attr in sites]
+    after = [vars(owner)[attr] for owner, attr in sites]
+    assert all(w.__wrapped__ is o for w, o in zip(inside, before))
+    assert all(a is b for a, b in zip(after, before))

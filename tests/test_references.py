@@ -438,13 +438,11 @@ def awkwardly_renamed(k, rng):
 
 
 def assert_glued_builds_agree(k, g):
-    glued, cover = build_glued_complex(k, g)
-    ref, ref_cover = oracles.build_glued_by_copy_map(k, g)
-    assert glued.complex == ref.complex
-    assert glued.copy_index == ref.copy_index
-    assert glued.facet_base == ref.facet_base
-    assert cover.cell_map == ref_cover.cell_map
-    assert cover.source is glued.complex and cover.target is k
+    cover = build_glued_complex(k, g)
+    ref = oracles.build_glued_by_copy_map(k, g)
+    assert cover.source == ref.source
+    assert cover.cell_map == ref.cell_map
+    assert cover.target is k
 
 
 @pytest.mark.parametrize("strategy, seed", STRATEGIES)
