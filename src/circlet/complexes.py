@@ -96,7 +96,8 @@ class Complex:
     The dual multigraph, the strong components, the incidence matrix
     (:func:`circlet.matroid.incidence_matrix`) and the circlet
     decomposition (:func:`circlet.matroid.decompose_into_circlets`) are
-    kept once asked for.
+    kept once asked for, each by its producer under its own key of
+    ``_kept``.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -110,10 +111,7 @@ class Complex:
         "_closure",
         "_cofaces",
         "_side_degrees",
-        "_dual",
-        "_components",
-        "_incidence",
-        "_decomposition",
+        "_kept",
     )
 
     def __init__(self, cells: Iterable[Cell]):
@@ -171,10 +169,7 @@ class Complex:
         object.__setattr__(self, "_closure", {})
         object.__setattr__(self, "_cofaces", cofaces)
         object.__setattr__(self, "_side_degrees", side_degrees)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_components", None)
-        object.__setattr__(self, "_incidence", None)
-        object.__setattr__(self, "_decomposition", None)
+        object.__setattr__(self, "_kept", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Complex is immutable")
@@ -185,9 +180,7 @@ class Complex:
         return cell_id in self._cells
 
     def __iter__(self) -> Iterator[Cell]:
-        for r in range(self.dim + 1):
-            for cid in self._by_dim[r]:
-                yield self._cells[cid]
+        return iter(self._cells.values())  # filled in (dim, id) order
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -443,12 +436,13 @@ def dual_multigraph(k: Complex) -> DualMultigraph:
     """
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no dual")
-    if (cached := k._dual) is not None:
+    if (cached := k._kept.get("dual")) is not None:
         return cached
     if not k.is_pure:
         raise NotPure("dual multigraph needs a pure complex")
-    g = DualMultigraph(vertices=k.facets, edges=_pair_edges(k, k.sides))
-    object.__setattr__(k, "_dual", g)
+    g = k._kept["dual"] = DualMultigraph(
+        vertices=k.facets, edges=_pair_edges(k, k.sides)
+    )
     return g
 
 
@@ -476,7 +470,7 @@ def strong_components(k: Complex) -> list[frozenset[str]]:
     """
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no dual")
-    if (cached := k._components) is not None:
+    if (cached := k._kept.get("components")) is not None:
         return list(cached)
     if not k.is_pure:
         raise NotPure("strong components need a pure complex")
@@ -498,7 +492,7 @@ def strong_components(k: Complex) -> list[frozenset[str]]:
     for f in k.facets:
         groups.setdefault(find(f), set()).add(f)
     comps = sorted((frozenset(g) for g in groups.values()), key=min)
-    object.__setattr__(k, "_components", tuple(comps))
+    k._kept["components"] = tuple(comps)
     return comps
 
 

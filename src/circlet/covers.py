@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -69,10 +68,16 @@ def _natural_key(cell_id: str) -> tuple:
     """Sort key comparing embedded digit runs numerically.
 
     Keeps side copies in copy order: "s#2" before "s#10". Split always
-    alternates text and number runs, so keys of any two ids compare.
+    alternates text and number runs, so keys of any two ids compare. A
+    run of ASCII digits is keyed by its length and digits once leading
+    zeros are gone, which orders as its value does with no conversion,
+    at any length; other digits are text.
     """
-    parts = re.split(r"(\d+)", cell_id)
-    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts))
+    parts: list = re.split(r"([0-9]+)", cell_id)
+    for i in range(1, len(parts), 2):
+        digits = parts[i].lstrip("0")
+        parts[i] = (len(digits), digits)
+    return tuple(parts)
 
 
 # ---- gluings ----------------------------------------------------------
@@ -540,46 +545,36 @@ def side_tour(m: Complex) -> SideTour:
     if len(strong_components(m)) != 1:
         raise NotPseudomanifold("dual multigraph is disconnected")
 
-    ends: dict[str, tuple[str, str]] = {}
-    pair_count: dict[tuple[str, str], int] = {}
-    for s in m.sides:
+    sides = m.sides
+    paired: set[tuple[str, str]] = set()
+    adj: dict[str, list[tuple[int, str]]] = {f: [] for f in m.facets}
+    for i, s in enumerate(sides):
         a, b = m.facets_over(s)
-        ends[s] = (a, b)
-        pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
-        if pair_count[(a, b)] > 1:
+        if (a, b) in paired:
             raise DualNotSimple(f"facets {a!r}, {b!r} share several sides")
+        paired.add((a, b))
+        adj[a].append((i, b))
+        adj[b].append((i, a))
     for f in m.facets:
         if len(m.boundary(f)) % 2 != 0:
             raise OddFacet(f"facet {f!r} has {len(m.boundary(f))} sides")
 
-    sides = m.sides
-    adj: dict[str, deque[tuple[int, str]]] = {f: deque() for f in m.facets}
-    for i, s in enumerate(sides):
-        a, b = ends[s]
-        adj[a].append((i, b))
-        adj[b].append((i, a))
+    # Hierholzer's walk; one iterator per facet resumes past used edges
+    walks = {f: iter(edges) for f, edges in adj.items()}
     used = [False] * len(sides)
     stack: list[tuple[str, int]] = [(m.facets[0], -1)]
     out: list[int] = []
     while stack:
         vertex, via = stack[-1]
-        nxt = None
-        q = adj[vertex]
-        while q:
-            ei, w = q[0]
-            if used[ei]:
-                q.popleft()
-                continue
-            used[ei] = True
-            q.popleft()
-            nxt = (w, ei)
-            break
-        if nxt is None:
+        for ei, w in walks[vertex]:
+            if not used[ei]:
+                used[ei] = True
+                stack.append((w, ei))
+                break
+        else:
             stack.pop()
             if via >= 0:
                 out.append(via)
-        else:
-            stack.append(nxt)
     if len(out) != len(sides):
         raise NotPseudomanifold("no closed walk through every side exists")
     seq = [sides[i] for i in reversed(out)]

@@ -76,27 +76,30 @@ def triangular_grid(rows: int) -> Complex:
     return build_complex(cells)
 
 
-def _tuple_id(vertices: tuple[int, ...]) -> str:
-    return "-".join(str(v) for v in vertices)
+def _subset_complex(labels: list[str], k: int, keep=None) -> Complex:
+    """Label subsets of size 1..k+1 as cells, ids joined with dashes.
+
+    An r-cell is an (r+1)-subset, labels in the order given, that ``keep``
+    accepts (all of them when it is None); its boundary is all one-smaller
+    subsets.
+    """
+    cells: list[Cell] = []
+    for r in range(k + 1):
+        for combo in itertools.combinations(labels, r + 1):
+            if keep is None or keep(combo):
+                faces = itertools.combinations(combo, r) if r else ()
+                cells.append(cell("-".join(combo), r, map("-".join, faces)))
+    return build_complex(cells)
 
 
 def simplex_skeleton(v: int, k: int) -> Complex:
     """The k-skeleton of the simplex on v vertices labeled 1..v.
 
-    An r-cell is an (r+1)-subset, id joined with dashes in numeric
-    order; its boundary is all one-smaller subsets.
+    Every vertex subset is a face; ids list the labels in numeric order.
     """
     if v < 1 or not 0 <= k <= v - 1:
         raise BadParameters("simplex_skeleton needs v >= 1, 0 <= k <= v-1")
-    cells: list[Cell] = []
-    for r in range(k + 1):
-        for combo in itertools.combinations(range(1, v + 1), r + 1):
-            boundary = (
-                _tuple_id(face)
-                for face in itertools.combinations(combo, r)
-            )
-            cells.append(cell(_tuple_id(combo), r, boundary if r else ()))
-    return build_complex(cells)
+    return _subset_complex([str(i) for i in range(1, v + 1)], k)
 
 
 def hypercube_skeleton(d: int, k: int) -> Complex:
@@ -138,24 +141,12 @@ def crosspolytope_skeleton(d: int, k: int) -> Complex:
         raise BadParameters(
             "crosspolytope_skeleton needs d >= 1, 0 <= k <= d-1"
         )
-    verts = [f"p{i}" for i in range(1, d + 1)] + [
-        f"n{i}" for i in range(1, d + 1)
-    ]
+    verts = sorted(f"{sign}{i}" for sign in "pn" for i in range(1, d + 1))
 
-    def axis(v: str) -> int:
-        return int(v[1:])
+    def antipode_free(combo: tuple[str, ...]) -> bool:
+        return len({v[1:] for v in combo}) == len(combo)
 
-    cells: list[Cell] = []
-    for r in range(k + 1):
-        for combo in itertools.combinations(sorted(verts), r + 1):
-            if len({axis(v) for v in combo}) != r + 1:
-                continue
-            cid = "-".join(combo)
-            boundary = (
-                "-".join(face) for face in itertools.combinations(combo, r)
-            )
-            cells.append(cell(cid, r, boundary if r else ()))
-    return build_complex(cells)
+    return _subset_complex(verts, k, antipode_free)
 
 
 def finned_circlet(k: int, m: int) -> Complex:

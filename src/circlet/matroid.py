@@ -73,14 +73,13 @@ def incidence_matrix(k: Complex) -> IncidenceMatrixGF2:
     """The side/facet incidence matrix of a complex of dim >= 1, kept on k."""
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no sides")
-    if (cached := k._incidence) is not None:
+    if (cached := k._kept.get("incidence")) is not None:
         return cached
     sides, facets = k.sides, k.facets
     bit = {s: 1 << i for i, s in enumerate(sides)}
     # a boundary names each side once, so the sum of its bits is their OR
     columns = tuple(sum(bit[s] for s in k.boundary(f)) for f in facets)
-    m = IncidenceMatrixGF2(side_ids=sides, facet_ids=facets, columns=columns)
-    object.__setattr__(k, "_incidence", m)
+    m = k._kept["incidence"] = IncidenceMatrixGF2(sides, facets, columns)
     return m
 
 
@@ -168,7 +167,7 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     peeling again. Only a success is kept: NotPure and NotEven are raised
     afresh on every call.
     """
-    if (cached := k._decomposition) is not None:
+    if (cached := k._kept.get("decomposition")) is not None:
         return cached
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -195,8 +194,7 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     if reduce(xor, (cols[p] for p in last)):
         raise NotEven("starting facet set is not even")
     parts.append(tuple(facets[p] for p in last))
-    d = CircletDecomposition(parts=tuple(parts))
-    object.__setattr__(k, "_decomposition", d)
+    d = k._kept["decomposition"] = CircletDecomposition(parts=tuple(parts))
     return d
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import builders
 from circlet import (
     CircletDecomposition,
+    CircletError,
     CoverMap,
     build_glued_complex,
     canonical_gluing,
@@ -36,7 +38,13 @@ from circlet.errors import (
     ParseError,
     ZeroDimensional,
 )
-from circlet.families import cycle, random_even, simplex_skeleton
+from circlet.families import (
+    cycle,
+    finned_circlet,
+    random_even,
+    random_even_multigraph,
+    simplex_skeleton,
+)
 
 
 def two_triangles_at_z():
@@ -184,6 +192,26 @@ def test_gluing_round_trip(delta52, octahedron, cube):
         for strategy, seed in (("canonical", 0), ("seeded", 3), ("seeded", 11)):
             g = canonical_gluing(k, strategy, seed)
             assert gluing_from_cover(build_glued_complex(k, g)) == g
+
+
+def test_gluing_round_trip_keeps_copy_order():
+    # spine sides of degree 24 get copies #1..#12, where "#10" < "#2" as text
+    k = finned_circlet(3, 24)
+    g = canonical_gluing(k, "seeded", 5)
+    assert gluing_from_cover(build_glued_complex(k, g)) == g
+    # digit runs past int()'s default 4300-digit limit still compare
+    vertices = ["v" + "1" * 5000 + str(i) for i in range(3)]
+    k = build_complex(
+        [builders.cell(v, 0) for v in vertices]
+        + [
+            builders.cell(f"e{i}", 1, (vertices[i - 1], vertices[i]))
+            for i in range(3)
+        ]
+    )
+    g = canonical_gluing(k)
+    assert gluing_from_cover(build_glued_complex(k, g)) == g
+    ordered = ["s#2", "s#009", "s#10", "s#0011", "s#" + "9" * 5000]
+    assert sorted(ordered[::-1], key=covers._natural_key) == ordered
 
 
 def test_gluing_from_cover_rejects_tampering(octahedron):
@@ -424,6 +452,33 @@ def test_tour_on_cover_source(cube):
     cover = cover_circlet(cube)
     tour = side_tour(cover.source)
     assert sorted(tour.sides) == sorted(cover.source.sides)
+
+
+def _tour_outcome(m):
+    """The tour as checked sides, or the error's class and message."""
+    try:
+        sides = side_tour(m).sides
+    except CircletError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert sorted(sides) == sorted(m.sides)
+    for s, t in zip(sides, sides[1:] + sides[:1]):
+        assert set(m.facets_over(s)) & set(m.facets_over(t)), (s, t)
+    return "tour " + " ".join(sides)
+
+
+def test_tour_outcomes_on_cover_sources():
+    sources = [euler_cover(random_even_multigraph(s)).source for s in range(200)]
+    sources += [
+        euler_cover(random_even(seed, size)).source
+        for seed, size in ((0, 2), (5, 1), (20, 2), (20, 3))
+    ]
+    outcomes = [_tour_outcome(m) for m in sources]
+    kinds = [o.split()[0] for o in outcomes]
+    assert kinds[:200].count("tour") == 182
+    assert kinds[:200].count("DualNotSimple:") == 18
+    assert kinds[200:] == ["OddFacet:", "tour", "tour", "tour"]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "705f13c81ee3000644cab42354e6b591879f9906cbf9c3fd2c22e6b2fa0e2e48"
 
 
 def test_tour_rejections(octahedron, tetra, delta52, grid):

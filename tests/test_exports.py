@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import circlet
+from circlet import complexes, covers, matroid
 
 MODULES = [
     circlet,
@@ -29,6 +30,17 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_name_is_exported_twice(module):
+    assert len(module.__all__) == len(set(module.__all__))
+
+
+def test_package_exports_the_module_lists():
+    extra = {"__version__", "FamilySpec", "generate", "CircletError"}
+    listed = {*complexes.__all__, *matroid.__all__, *covers.__all__}
+    assert set(circlet.__all__) == extra | listed
 
 
 def test_tracer_wraps_and_restores_every_target():

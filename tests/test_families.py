@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from circlet import (
@@ -88,6 +90,24 @@ def test_crosspolytope_skeleton():
     assert crosspolytope_skeleton(3, 2).facets[0] == "n1-n2-n3"
     with pytest.raises(BadParameters):
         crosspolytope_skeleton(3, 3)
+
+
+def test_subset_ids_where_string_and_numeric_order_differ():
+    # ids list labels in label order ("1-2-10"), cells sort as strings
+    simplex = simplex_skeleton(11, 2)
+    assert simplex.boundary("1-2-10") == {"1-2", "1-10", "2-10"}
+    assert simplex.facets[:2] == ("1-10-11", "1-2-10")
+    cross = crosspolytope_skeleton(10, 2)
+    assert cross.facets[:2] == ("n1-n10-n2", "n1-n10-n3")
+    assert len(cross.facets) == 960
+    digests = [
+        hashlib.sha256(serialize.complex_json(k).encode()).hexdigest()
+        for k in (simplex, cross)
+    ]
+    assert digests == [
+        "8a7d9b55bee15a05e9b96a5341e761beeaf22de77ad54ebda03bf0aa1b9539f4",
+        "e478cf0a98fbfba9d542bc67620a3b895c57c0c2974c59bfcd390f2adb7e053d",
+    ]
 
 
 def test_skeleta_are_regular():

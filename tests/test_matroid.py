@@ -146,9 +146,7 @@ def test_a_copy_starts_with_nothing_kept():
     decompose_into_circlets(k)
     euler_cover(k)
     copy = Complex(k)
-    assert (copy._dual, copy._components, copy._incidence, copy._decomposition) == (
-        None,
-    ) * 4
+    assert copy._kept == {}
     assert decompose_into_circlets(copy) == decompose_into_circlets(k)
 
 
@@ -305,7 +303,7 @@ def test_decompose_rejects_uneven(delta42):
         for _ in range(2):  # a failure keeps nothing and is raised again
             with pytest.raises(NotEven):
                 decompose_into_circlets(k)
-            assert k._decomposition is None
+            assert "decomposition" not in k._kept
 
 
 def test_decompose_rejects_impure():
@@ -313,7 +311,7 @@ def test_decompose_rejects_impure():
     for _ in range(2):
         with pytest.raises(NotPure):
             decompose_into_circlets(k)
-        assert k._decomposition is None
+        assert "decomposition" not in k._kept
 
 
 # ---- decomposition validation -----------------------------------------
