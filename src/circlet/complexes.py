@@ -474,24 +474,28 @@ def strong_components(k: Complex) -> list[frozenset[str]]:
         return list(cached)
     if not k.is_pure:
         raise NotPure("strong components need a pure complex")
-    parent: dict[str, str] = {f: f for f in k.facets}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in k.sides:
-        over = k.facets_over(s)
-        for other in over[1:]:
-            ra, rb = find(over[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[str, set[str]] = {}
+    # a search from each unseen facet in id order: the first facet of a
+    # new component is its smallest, so components come out in order;
+    # each side's facets are read once, however many facets it lies under
+    cells, cofaces = k._cells, k._cofaces
+    seen: set[str] = set()
+    crossed: set[str] = set()
+    comps = []
     for f in k.facets:
-        groups.setdefault(find(f), set()).add(f)
-    comps = sorted((frozenset(g) for g in groups.values()), key=min)
+        if f in seen:
+            continue
+        seen.add(f)
+        found = [f]
+        for g in found:  # the list is its own queue
+            for s in cells[g][2]:
+                if s in crossed:
+                    continue
+                crossed.add(s)
+                for h in cofaces[s]:
+                    if h not in seen:
+                        seen.add(h)
+                        found.append(h)
+        comps.append(frozenset(found))
     k._kept["components"] = tuple(comps)
     return comps
 

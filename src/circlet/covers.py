@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Mapping
 
 from .complexes import (
@@ -129,10 +132,17 @@ class CoverMap:
     target: Complex
     cell_map: Mapping[str, str]
 
+    @cached_property
+    def _preimages(self) -> dict[str, tuple[str, ...]]:
+        """Target id -> sorted source ids, inverted once on first use."""
+        inverse: dict[str, list[str]] = {}
+        for c, t in self.cell_map.items():
+            inverse.setdefault(t, []).append(c)
+        return {t: tuple(sorted(cs)) for t, cs in inverse.items()}
+
     def preimage(self, target_id: str) -> tuple[str, ...]:
-        return tuple(
-            sorted(c for c, t in self.cell_map.items() if t == target_id)
-        )
+        """Sorted source cells mapped to target_id; () for an unknown id."""
+        return self._preimages.get(target_id, ())
 
 
 def _check_gluing(k: Complex, g: _Gluing) -> None:
@@ -376,6 +386,14 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
     image is the image of the boundary), (g) each target side has
     degree/2 preimages, (h) the link of every source corner is 2-regular.
 
+    Rule (d) is checked first and reported in its place. When it finds
+    nothing, every source cell below the side level maps to itself and
+    equals its target cell. Every cell on the boundary of such a cell,
+    or of a side, lies below the side level too. So (f) cannot fire
+    below the side level: it reads only the cells from the side level
+    up, and takes the boundary of a side as the image of that boundary.
+    When (d) reports anything, (f) reads every cell in full.
+
     Rule (h) reads the coface tables, not :func:`corner_link`: in the link
     of a corner, a facet over a side s above it meets the other
     ``len(cofaces(s)) - 1`` facets over s, so its degree is that sum over
@@ -384,15 +402,46 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
     """
     m, k, phi = cover.source, cover.target, cover.cell_map
     n = k.dim
+    source_cells, target_cells = m._cells, k._cells
     v: list[Violation] = []
 
+    # (d) first, for (f) to read; it is reported after (c)
+    low_m = {cid for r in range(n - 1) for cid in m.cells_of_dim(r)}
+    low_k = {cid for r in range(n - 1) for cid in k.cells_of_dim(r)}
+    if low_m != low_k:
+        diff = sorted(low_m ^ low_k)
+        base = [
+            Violation(
+                "d-base-skeleton",
+                tuple(diff[:6]),
+                "cells below the side level differ between source and "
+                "target",
+            )
+        ]
+    else:
+        moved = [
+            cid
+            for cid in low_m
+            if phi.get(cid) != cid or source_cells[cid] != target_cells[cid]
+        ]
+        base = [
+            Violation(
+                "d-base-skeleton",
+                (cid,),
+                f"{cid!r} is not carried over identically",
+            )
+            for cid in sorted(moved)
+        ]
+
     structural_ok = True
-    image, target_cell = phi.get, k.cell
-    for cid, dim, boundary in m:  # by position: faster than by field name
+    image, target_cell = phi.get, target_cells.get
+    # (dim, id) order puts the cells below the side level first; with (d)
+    # passed, (f) skips them and takes a side's boundary as its own image
+    skip, settled = (0, 0) if base else (len(low_m), n)
+    for cid, dim, boundary in islice(source_cells.values(), skip, None):
         img = image(cid)
-        try:
-            tc = target_cell(img)
-        except KeyError:  # a missing image (None) too
+        tc = target_cell(img)
+        if tc is None:  # a missing image (None) too
             v.append(
                 Violation(
                     "f-cellular", (cid,), f"{cid!r} has no valid image"
@@ -410,7 +459,7 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
             )
             structural_ok = False
             continue
-        if set(map(image, boundary)) != tc[2]:
+        if (boundary if dim < settled else set(map(image, boundary))) != tc[2]:
             v.append(
                 Violation(
                     "f-cellular",
@@ -441,34 +490,12 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
                 )
             )
 
-    low_m = {cid for r in range(n - 1) for cid in m.cells_of_dim(r)}
-    low_k = {cid for r in range(n - 1) for cid in k.cells_of_dim(r)}
-    if low_m != low_k:
-        diff = sorted(low_m ^ low_k)
-        v.append(
-            Violation(
-                "d-base-skeleton",
-                tuple(diff[:6]),
-                "cells below the side level differ between source and "
-                "target",
-            )
-        )
-    else:
-        for cid in sorted(low_m):
-            if phi.get(cid) != cid or m.cell(cid) != k.cell(cid):
-                v.append(
-                    Violation(
-                        "d-base-skeleton",
-                        (cid,),
-                        f"{cid!r} is not carried over identically",
-                    )
-                )
+    v += base
 
     if structural_ok:
-        facet_images = sorted(phi[f] for f in m.facets if phi[f] in k)
-        if facet_images != sorted(set(facet_images)) or set(
-            facet_images
-        ) != set(k.facets):
+        facet_images = [phi[f] for f in m.facets]
+        distinct = set(facet_images)
+        if len(distinct) != len(facet_images) or distinct != set(k.facets):
             v.append(
                 Violation(
                     "e-facet-bijection",
@@ -478,31 +505,28 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
             )
 
         if n >= 1:
-            preimages: dict[str, int] = {s: 0 for s in k.sides}
-            for s_hat in m.sides:
-                img = phi[s_hat]
-                if img in preimages:
-                    preimages[img] += 1
-            for s in k.sides:
-                deg = k.side_degrees[s]
-                if deg % 2 != 0 or preimages[s] != deg // 2:
+            preimages = Counter(map(phi.__getitem__, m.sides))
+            for s, deg in k.side_degrees.items():
+                got = preimages.get(s, 0)
+                if deg % 2 != 0 or got != deg // 2:
                     v.append(
                         Violation(
                             "g-preimage-count",
                             (s,),
-                            f"side {s!r} of degree {deg} has "
-                            f"{preimages[s]} preimages",
+                            f"side {s!r} of degree {deg} has {got} preimages",
                         )
                     )
 
     if m.dim >= 2:
-        cofaces = m.cofaces
+        cofaces = m._cofaces.get
         for corner in m.corners:
             degree: dict[str, int] = {}
-            for s in cofaces(corner):
-                over = cofaces(s)
+            for s in cofaces(corner, ()):
+                over = cofaces(s, ())
                 for f in over:
                     degree[f] = degree.get(f, 0) + len(over) - 1
+            if all(d == 2 for d in degree.values()):
+                continue
             for f in sorted(f for f, d in degree.items() if d != 2):
                 v.append(
                     Violation(

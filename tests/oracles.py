@@ -237,7 +237,7 @@ def closures_bottom_up(k: Complex) -> dict[str, frozenset[str]]:
     return out
 
 
-# ---- side and corner lookups by scanning every cell -------------------
+# ---- lookups by scanning every cell or map entry ----------------------
 
 
 def facets_over_by_scan(k: Complex, cell_id: str) -> tuple[str, ...]:
@@ -269,6 +269,11 @@ def corner_link_by_scan(k: Complex, corner_id: str) -> DualMultigraph:
             edges.append(DualEdge(a, b, s))
     edges.sort(key=lambda e: (e.side, e.left, e.right))
     return DualMultigraph(vertices=verts, edges=tuple(edges))
+
+
+def preimage_by_scan(cover: CoverMap, target_id: str) -> tuple[str, ...]:
+    """Source cells mapped to target_id, found by reading the whole map."""
+    return tuple(sorted(c for c, t in cover.cell_map.items() if t == target_id))
 
 
 # ---- replaced algorithms, kept as references --------------------------

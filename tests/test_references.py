@@ -1,13 +1,16 @@
 """The library's direct algorithms against the references in oracles.py.
 
 Lookups read the coface map built at construction; the references scan
-every cell. Closures are computed on request; the reference builds them
-all bottom-up. Circlet extraction is one GF(2) scan, and decomposition
-one elimination pass; the references shrink by deletion or rescan after
-every peel, and the part checks of validate_decomposition are matched
-against one extraction per part on mutated partitions. euler_cover
-folds the circlets' pairings straight off the complex and builds once;
-the references chain merge_covers (small inputs) or fold one induced
+every cell. Strong components are a search from each facet in id order,
+checked on disjoint unions whose ids interleave. A cover's preimages
+come from its map inverted once; the reference scans the map. Closures
+are computed on request; the reference builds them all bottom-up.
+Circlet extraction is one GF(2) scan, and decomposition one elimination
+pass; the references shrink by deletion or rescan after every peel, and
+the part checks of validate_decomposition are matched against one
+extraction per part on mutated partitions. euler_cover folds the
+circlets' pairings straight off the complex and builds once; the
+references chain merge_covers (small inputs) or fold one induced
 subcomplex and gluing per circlet (inputs of benchmark size).
 build_glued_complex hands each side copy to its pair's facet lifts as it
 makes it; the reference keys every copy by (side, facet) and looks the
@@ -15,10 +18,10 @@ lifts' boundaries up afterwards, on canonical, seeded and folded gluings
 and on ids renamed so that lifts and copies sort unlike their bases.
 verify_cover counts corner-link degrees off the coface tables; the
 reference builds each corner's link multigraph, on covers, mutated cell
-maps and swapped ends. validate_regularity reads two levels of the
-boundary relation; the reference compares full closures, on the
-families and on complexes whose boundaries were mangled at random. Each
-pair must agree exactly.
+maps, swapped ends and moved source edges. validate_regularity reads two
+levels of the boundary relation; the reference compares full closures,
+on the families and on complexes whose boundaries were mangled at
+random. Each pair must agree exactly.
 """
 
 import random
@@ -43,6 +46,7 @@ from circlet import (
     extract_circlet,
     gluing_from_cover,
     incidence_matrix,
+    strong_components,
     validate_decomposition,
     validate_regularity,
     verify_cover,
@@ -121,6 +125,54 @@ def test_dual_multigraph_matches_scan(case):
     k = LOOKUP_CASES[case]()
     if k.is_pure:
         assert dual_multigraph(k) == oracles.dual_multigraph_by_scan(k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 8)),
+        min_size=2,
+        max_size=3,
+    ),
+    rng=st.randoms(),
+)
+def test_strong_components_match_search_on_unions(pieces, rng):
+    # disjoint copies of strongly connected complexes, every cell renamed
+    # from one shuffled pool, so the pieces' facet ids interleave
+    parts = [random_even(n, size) for n, size in pieces]
+    pool = [f"c{i}" for i in range(sum(map(len, parts)))]
+    rng.shuffle(pool)
+    names = iter(pool)
+    cells, groups = [], []
+    for k in parts:
+        rename = {c.id: next(names) for c in k}
+        cells += [
+            Cell(rename[c.id], c.dim, frozenset(map(rename.get, c.boundary)))
+            for c in k
+        ]
+        groups.append(frozenset(map(rename.get, k.facets)))
+    union = Complex(cells)
+    comps = strong_components(union)
+    assert comps == oracles.facet_components(union)
+    assert comps == sorted(groups, key=min)
+    assert strong_components(union) == comps  # the kept copy
+
+
+PREIMAGE_CASES = {
+    "random_even1_10": lambda: euler_cover(random_even(1, 10)),
+    "multigraph5": lambda: euler_cover(random_even_multigraph(5)),
+    "delta6_3": lambda: euler_cover(simplex_skeleton(7, 3)),
+    "finned3_20": lambda: euler_cover(finned_circlet(3, 20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREIMAGE_CASES))
+def test_preimage_matches_scan(case):
+    cover = PREIMAGE_CASES[case]()
+    # mutated maps send several cells, or none, to one target cell
+    for c in [cover, *mutated_covers(cover, random.Random(case))]:
+        for cid in [t.id for t in c.target] + ["no-such-cell"]:
+            assert c.preimage(cid) == oracles.preimage_by_scan(c, cid)
 
 
 # ---- regularity -------------------------------------------------------
@@ -515,7 +567,8 @@ def mutated_covers(cover, rng, rounds=4):
     another cell's of that dimension, replaced by a random target cell,
     deleted, or replaced by an unknown id. Then source and target trade
     places, with the map kept and inverted, so the source is the base
-    complex, whose corner links are seldom 2-regular.
+    complex, whose corner links are seldom 2-regular. Last, the map stays
+    and one source edge has an endpoint moved (see :func:`moved_edge`).
     """
     cm = dict(cover.cell_map)
     m = cover.source
@@ -532,7 +585,24 @@ def mutated_covers(cover, rng, rounds=4):
     out = [CoverMap(cover.source, cover.target, x) for x in maps]
     inverse = {y: x for x, y in sorted(cm.items())}
     out += [CoverMap(cover.target, cover.source, x) for x in (cm, inverse)]
+    if len(m.cells_of_dim(0)) > 2:
+        out.append(moved_edge(cover, rng))
     return out
+
+
+def moved_edge(cover, rng):
+    """The cover with one endpoint of one source edge moved elsewhere.
+
+    From dimension 3 up the edge lies below the side level, where rule (d)
+    fails and rule (f) has to read the cells it would otherwise skip.
+    """
+    m = cover.source
+    edge = m.cell(rng.choice(m.cells_of_dim(1)))
+    stays = rng.choice(sorted(edge.boundary))
+    to = rng.choice([v for v in m.cells_of_dim(0) if v not in edge.boundary])
+    moved = Cell(edge.id, 1, frozenset({stays, to}))
+    source = Complex([moved if c.id == edge.id else c for c in m])
+    return CoverMap(source, cover.target, cover.cell_map)
 
 
 def assert_verify_matches_links(cover, seed):
@@ -564,6 +634,7 @@ VERIFY_CASES = {
     "finned3_4": lambda: finned_circlet(3, 4),
     "finned_chain3": lambda: builders.finned_chain(3),
     "grid3": lambda: triangular_grid(3),
+    "cube4_3": lambda: hypercube_skeleton(4, 3),
 }
 
 
@@ -572,3 +643,17 @@ def test_skeleton_verify_matches_links(case):
     k = VERIFY_CASES[case]()
     for strategy, seed in STRATEGIES:
         assert_verify_matches_links(euler_cover(k, strategy, seed), seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "make",
+    [lambda: simplex_skeleton(7, 3), lambda: hypercube_skeleton(4, 3)],
+    ids=["delta6_3", "cube4_3"],
+)
+def test_moved_edge_fails_base_and_cellular(make, seed):
+    cover = moved_edge(euler_cover(make()), random.Random(seed))
+    report = verify_cover(cover)
+    assert report == oracles.verify_by_links(cover)
+    rules = {v.rule for v in report.violations}
+    assert {"d-base-skeleton", "f-cellular"} <= rules
