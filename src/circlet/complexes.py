@@ -1,9 +1,10 @@
 """Face-poset model of finite regular CW-complexes.
 
 A complex is stored through its covering relation: each cell lists the ids
-of the cells one dimension down on its boundary sphere. Per-dimension
-indexes and the coface map (the same relation read upward) are computed
-once at construction, full closures on first request; a Complex never
+of the cells one dimension down on its boundary sphere. Construction builds
+three tables: the cells by id, the ids per dimension, and the coface map
+(the same relation read upward). Everything else, side degrees and
+closures included, is computed on first request and kept; a Complex never
 changes, so instances are safe to share and every query gives the same
 answer twice.
 
@@ -16,7 +17,7 @@ and every side degree is positive and even.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -90,10 +91,12 @@ def _bad_boundary(c: Cell, table: Mapping[str, Cell]) -> None:
 class Complex:
     """Immutable face poset with cached derived structure.
 
-    Construction inverts the boundary relation into a coface map (cell
-    -> the cells one dimension up, sorted); side degrees, purity,
-    :meth:`facets_over` and :func:`corner_link` read it, never scanning.
-    The dual multigraph, the strong components, the incidence matrix
+    Construction builds three tables and nothing else: the cells by id,
+    the ids per dimension, and the coface map, the boundary relation
+    inverted (cell -> the cells one dimension up, sorted). Purity, side
+    degrees, :meth:`facets_over` and :func:`corner_link` read the coface
+    map, never scanning. The side degrees, the closures, the dual
+    multigraph, the strong components, the incidence matrix
     (:func:`circlet.matroid.incidence_matrix`) and the circlet
     decomposition (:func:`circlet.matroid.decompose_into_circlets`) are
     kept once asked for, each by its producer under its own key of
@@ -104,15 +107,7 @@ class Complex:
     broken by lexicographic id order, so all outputs are deterministic.
     """
 
-    __slots__ = (
-        "dim",
-        "_cells",
-        "_by_dim",
-        "_closure",
-        "_cofaces",
-        "_side_degrees",
-        "_kept",
-    )
+    __slots__ = ("dim", "_cells", "_by_dim", "_cofaces", "_kept")
 
     def __init__(self, cells: Iterable[Cell]):
         # (dim, id) order from one sort by id per dimension, not a tuple key;
@@ -134,8 +129,9 @@ class Complex:
                     raise DuplicateCellId(f"cell id {cid!r} appears twice")
                 seen.add(cid)
 
-        # the coface lists fill in (dim, id) order
-        up: defaultdict[str, list[str]] = defaultdict(list)
+        # keys and lists both in (dim, id) order: reading the ids of one
+        # dimension in order reads the map in order too
+        up: dict[str, list[str]] = {cid: [] for cid in table}
         for c in ordered:
             cid, dim, boundary = c
             if dim < 0:
@@ -158,17 +154,12 @@ class Complex:
         # boundaries are nonempty, one dim down: group r holds the r-cells
         n = ordered[-1][1]
         by_dim = tuple(tuple(c[0] for c in group) for group in groups)
-        cofaces = {b: tuple(ids) for b, ids in up.items()}
-        side_degrees = (
-            {s: len(cofaces.get(s, ())) for s in by_dim[n - 1]} if n >= 1 else {}
-        )
+        cofaces = {b: tuple(ids) for b, ids in up.items() if ids}
 
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_cells", table)
         object.__setattr__(self, "_by_dim", by_dim)
-        object.__setattr__(self, "_closure", {})
         object.__setattr__(self, "_cofaces", cofaces)
-        object.__setattr__(self, "_side_degrees", side_degrees)
         object.__setattr__(self, "_kept", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -206,12 +197,13 @@ class Complex:
 
     def closure(self, cell_id: str) -> frozenset[str]:
         """All cells under cell_id, itself included; memoized per cell."""
-        got = self._closure.get(cell_id)
+        memo = self._kept.setdefault("closure", {})
+        got = memo.get(cell_id)
         if got is None:
             acc = {cell_id}
             for b in self._cells[cell_id].boundary:
                 acc |= self.closure(b)
-            got = self._closure[cell_id] = frozenset(acc)
+            got = memo[cell_id] = frozenset(acc)
         return got
 
     def cells_of_dim(self, r: int) -> tuple[str, ...]:
@@ -233,7 +225,14 @@ class Complex:
 
     @property
     def side_degrees(self) -> Mapping[str, int]:
-        return self._side_degrees
+        """Side -> number of facets over it; counted once, then kept."""
+        got = self._kept.get("side_degrees")
+        if got is None:
+            cofaces = self._cofaces
+            got = self._kept["side_degrees"] = {
+                s: len(cofaces.get(s, ())) for s in self.sides
+            }
+        return got
 
     @property
     def is_pure(self) -> bool:
@@ -242,7 +241,8 @@ class Complex:
 
     def facets_over(self, side_id: str) -> tuple[str, ...]:
         """Sorted facets whose boundary holds the side; () for a non-side."""
-        return self._cofaces.get(side_id, ()) if side_id in self._side_degrees else ()
+        c = self._cells.get(side_id)
+        return self._cofaces.get(side_id, ()) if c and c[1] == self.dim - 1 else ()
 
 
 def build_complex(cells: Iterable[Cell]) -> Complex:

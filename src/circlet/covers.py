@@ -22,8 +22,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Mapping
+from itertools import chain, islice
+from typing import Mapping, Sequence
 
 from .complexes import (
     Cell,
@@ -86,9 +86,9 @@ def _natural_key(cell_id: str) -> tuple:
 # ---- gluings ----------------------------------------------------------
 
 # A gluing: per side, an ordered partition of its facets into unordered
-# pairs. ``g[s]`` is a tuple of 2-tuples; each inner pair is sorted, the
+# pairs. ``g[s]`` is a sequence of 2-tuples; each inner pair is sorted, the
 # outer order is meaningful (it numbers the side copies).
-_Gluing = dict[str, tuple[tuple[str, str], ...]]
+_Gluing = dict[str, Sequence[tuple[str, str]]]
 
 
 def _rng(strategy: str, seed: int) -> random.Random | None:
@@ -145,21 +145,6 @@ class CoverMap:
         return self._preimages.get(target_id, ())
 
 
-def _check_gluing(k: Complex, g: _Gluing) -> None:
-    if set(g) != set(k.sides):
-        raise GluingMismatch("gluing sides differ from the complex's sides")
-    for s in k.sides:
-        flat: list[str] = []
-        for a, b in g[s]:
-            if a == b:
-                raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
-            flat += [a, b]
-        if tuple(sorted(flat)) != k.facets_over(s):  # facets_over is sorted
-            raise GluingMismatch(
-                f"pairs at {s!r} do not partition its facets"
-            )
-
-
 def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     """The cover a gluing describes: the glued complex projected onto k.
 
@@ -171,7 +156,8 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     """
     if k.dim == 0:
         raise ZeroDimensional("cannot glue a 0-dimensional complex")
-    _check_gluing(k, g)
+    if set(g) != set(k.sides):
+        raise GluingMismatch("gluing sides differ from the complex's sides")
     n = k.dim
     kept = [cid for r in range(n - 1) for cid in k.cells_of_dim(r)]
     cells: list[Cell] = [k.cell(cid) for cid in kept]
@@ -180,8 +166,14 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     lift_boundary: dict[str, list[str]] = {f: [] for f in k.facets}
     new = tuple.__new__  # new(Cell, fields) skips Cell.__new__: half the cost
     for s in k.sides:
+        pairs = g[s]  # checked before any copy of s is made
+        for a, b in pairs:
+            if a == b:
+                raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
+        if tuple(sorted(chain.from_iterable(pairs))) != k.facets_over(s):
+            raise GluingMismatch(f"pairs at {s!r} do not partition its facets")
         base_boundary = k.boundary(s)
-        for j, (a, b) in enumerate(g[s], start=1):
+        for j, (a, b) in enumerate(pairs, start=1):
             cid = f"{s}#{j}"
             cells.append(new(Cell, (cid, n - 1, base_boundary)))
             cell_map[cid] = s
@@ -352,25 +344,25 @@ def euler_cover(
         for i, over in by_part.items():
             sides_of[i].append((s, over))
 
-    fold_order, seen = [0], {0}
-    for i in fold_order:  # breadth-first: the list is its own queue
-        near = {j for s, _ in sides_of[i] for j in parts_at[s]} - seen
-        seen |= near
-        fold_order += sorted(near)
-
+    # breadth-first, the list its own queue: each circlet is folded in as
+    # it is dequeued, so one folded before it shares a side with it
     pairs: dict[str, list[tuple[str, str]]] = {}
+    fold_order, seen = [0], {0}
     for i in fold_order:
         rng = _rng(strategy, seed)
         piece = {s: _pair_up(over, rng) for s, over in sides_of[i]}
-        if not pairs:
+        if pairs:
+            shared = next(s for s in piece if s in pairs)
+            _repair(pairs[shared], piece[shared])
+            for s, p in piece.items():
+                if pairs.setdefault(s, p) is not p:
+                    pairs[s] += p
+        else:
             pairs = piece
-            continue
-        shared = next(s for s in piece if s in pairs)
-        _repair(pairs[shared], piece[shared])
-        for s, p in piece.items():
-            if pairs.setdefault(s, p) is not p:
-                pairs[s] += p
-    return build_glued_complex(k, {s: tuple(p) for s, p in pairs.items()})
+        near = {j for s in piece for j in parts_at[s]} - seen
+        seen |= near
+        fold_order += sorted(near)
+    return build_glued_complex(k, pairs)
 
 
 # ---- verification -----------------------------------------------------
@@ -403,6 +395,7 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
     m, k, phi = cover.source, cover.target, cover.cell_map
     n = k.dim
     source_cells, target_cells = m._cells, k._cells
+    cofaces, target_cofaces = m._cofaces.get, k._cofaces.get
     v: list[Violation] = []
 
     # (d) first, for (f) to read; it is reported after (c)
@@ -472,7 +465,8 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
     if not m.is_pure:
         v.append(Violation("a-source-pure", (), "source is not pure"))
     if m.dim >= 1:
-        for s, d in m.side_degrees.items():
+        for s in m.sides:
+            d = len(cofaces(s, ()))
             if d != 2:
                 v.append(
                     Violation(
@@ -506,9 +500,10 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
 
         if n >= 1:
             preimages = Counter(map(phi.__getitem__, m.sides))
-            for s, deg in k.side_degrees.items():
+            for s in k.sides:
+                deg = len(target_cofaces(s, ()))
                 got = preimages.get(s, 0)
-                if deg % 2 != 0 or got != deg // 2:
+                if deg != 2 * got:
                     v.append(
                         Violation(
                             "g-preimage-count",
@@ -518,14 +513,13 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
                     )
 
     if m.dim >= 2:
-        cofaces = m._cofaces.get
         for corner in m.corners:
             degree: dict[str, int] = {}
             for s in cofaces(corner, ()):
                 over = cofaces(s, ())
                 for f in over:
                     degree[f] = degree.get(f, 0) + len(over) - 1
-            if all(d == 2 for d in degree.values()):
+            if set(degree.values()) <= {2}:
                 continue
             for f in sorted(f for f, d in degree.items() if d != 2):
                 v.append(

@@ -112,7 +112,10 @@ def test_complex_is_immutable(tetra):
 
 
 def test_every_slot_is_set_by_construction(tetra, delta52):
-    # a kept-structure slot left unset would raise AttributeError on first read
+    # construction sets all five slots: the dimension, three tables and
+    # _kept, where everything derived is kept on first ask; a slot left
+    # unset would raise AttributeError on first read
+    assert len(Complex.__slots__) == 5
     for k in (tetra, delta52, build_complex([cell("a", 0)])):
         for name in Complex.__slots__:
             getattr(k, name)
@@ -184,6 +187,7 @@ def test_facets_over_is_sorted(delta52):
 def test_side_degrees(delta52, cube, c34):
     assert set(delta52.side_degrees.values()) == {4}
     assert set(cube.side_degrees.values()) == {2}
+    assert delta52.side_degrees is delta52.side_degrees  # kept on first read
     hist = degree_profile(c34).histogram()
     assert hist == {2: 24, 4: 3}
 

@@ -143,16 +143,57 @@ def test_glued_side_copies_have_degree_two(delta52):
     assert len(strong_components(m)) == 4
 
 
+def _corrupt(k, how):
+    """A canonical gluing of k with one defect, named by ``how``."""
+    g = canonical_gluing(k)
+    s = k.sides[0]
+    (a, b), *rest = g[s]
+    stranger = next(f for f in k.facets if f not in k.facets_over(s))
+    if how == "repeated facet":
+        g[s] = ((a, a), *rest)
+    elif how == "missing side":
+        del g[s]
+    elif how == "extra side":
+        g["no-such-side"] = ()
+    elif how == "non-facet id":
+        g[s] = ((a, k.corners[0]), *rest)
+    elif how == "facet not over side":
+        g[s] = ((a, stranger), *rest)
+    elif how == "two sides":  # the first side in id order is reported
+        g[s] = ((a, stranger), *rest)
+        (c, _), *more = g[k.sides[2]]
+        g[k.sides[2]] = ((c, c), *more)
+    return g
+
+
 def test_build_rejects_corrupt_gluing(octahedron):
-    pairs = canonical_gluing(octahedron)
-    s = octahedron.sides[0]
-    a, b = pairs[s][0]
-    pairs[s] = ((a, a),)
-    with pytest.raises(GluingMismatch):
-        build_glued_complex(octahedron, pairs)
-    del pairs[s]
-    with pytest.raises(GluingMismatch):
-        build_glued_complex(octahedron, pairs)
+    # class and message of each defect, on a circlet and on a fold of five
+    sides = "gluing sides differ from the complex's sides"
+    for k, repeat, partition in [
+        (
+            octahedron,
+            "pair at 'n1-n2' repeats facet 'n1-n2-n3'",
+            "pairs at 'n1-n2' do not partition its facets",
+        ),
+        (
+            random_even(1, 5),
+            "pair at 'g0.1-2' repeats facet 'g0.1-2-3'",
+            "pairs at 'g0.1-2' do not partition its facets",
+        ),
+    ]:
+        expected = {
+            "repeated facet": repeat,
+            "missing side": sides,
+            "extra side": sides,
+            "non-facet id": partition,
+            "facet not over side": partition,
+            "two sides": partition,
+        }
+        for how, message in expected.items():
+            with pytest.raises(GluingMismatch) as info:
+                build_glued_complex(k, _corrupt(k, how))
+            assert type(info.value) is GluingMismatch, how
+            assert str(info.value) == message, how
 
 
 def test_build_rejects_points():

@@ -105,7 +105,7 @@ def test_scan_across_word_boundaries():
 # ---- randomized agreement with the dense oracle -----------------------
 
 
-def test_backend_agreement_random_matrices():
+def test_scan_matches_dense_rank_random_matrices():
     rng = random.Random(1234)
     for _ in range(60):
         n_rows = rng.randrange(1, 200)
@@ -128,7 +128,7 @@ def test_backend_agreement_random_matrices():
         ).map(lambda cols: (n_rows, cols))
     )
 )
-def test_backend_agreement_property(case):
+def test_scan_matches_dense_rank_property(case):
     _, rows = case
     check_scan_result(columns_from_rows(rows))
 

@@ -71,7 +71,7 @@ def test_incidence_matches_boundaries(octahedron):
         assert rows == set(octahedron.boundary(f))
 
 
-def test_packed_matches_int_columns():
+def test_wide_columns_match_boundaries():
     k = simplex_skeleton(13, 2)  # 78 sides: columns wider than 64 bits
     m = incidence_matrix(k)
     rows = [gf2.bit_indices(c) for c in m.columns]

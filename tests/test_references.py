@@ -57,6 +57,7 @@ from circlet.errors import (
     DanglingReference,
     DuplicateCellId,
     ParseError,
+    ZeroDimensional,
 )
 from circlet.families import (
     crosspolytope_skeleton,
@@ -82,6 +83,8 @@ LOOKUP_CASES = {
     "not_pure": builders.triangle_with_extra_vertex,
     "path": builders.path_graph,
     "two_cycle": builders.two_cycle,
+    "points": lambda: Complex([Cell(v, 0, frozenset()) for v in "bca"]),
+    "multigraph3": lambda: random_even_multigraph(3),
 }
 
 
@@ -123,7 +126,10 @@ def test_corner_link_matches_scan(case):
 @pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
 def test_dual_multigraph_matches_scan(case):
     k = LOOKUP_CASES[case]()
-    if k.is_pure:
+    if k.dim == 0:
+        with pytest.raises(ZeroDimensional):
+            dual_multigraph(k)
+    elif k.is_pure:
         assert dual_multigraph(k) == oracles.dual_multigraph_by_scan(k)
 
 
