@@ -7,7 +7,8 @@ euler_cover built. Reports per rung the best of N runs of each, the
 log-log slope of that time against the facet count from the rung below
 in the same ladder, and the first 16 hex digits of the sha256 of the
 canonical JSON of the decomposition, the cover and the verify report.
-Every repeat checks that all three are the same as on the first run.
+Every repeat checks that the cover passes verify_cover and that all
+three are the same as on the first run.
 A complex keeps its incidence matrix and its circlet decomposition once
 built, so each repeat hands decompose_into_circlets and euler_cover a
 fresh copy of the rung's complex, built outside the timing: no repeat
@@ -75,6 +76,7 @@ def main():
                 a, got = timed(decompose_into_circlets, Complex(k))
                 b, cover = timed(euler_cover, Complex(k))
                 c, report = timed(verify_cover, cover)
+                assert report.passed, f"{name}: {report.violations[0].message}"
                 now = (
                     sha(serialize.decomposition_to_dict(got)),
                     sha(serialize.cover_to_dict(cover)),

@@ -191,10 +191,6 @@ class Complex:
     def boundary(self, cell_id: str) -> frozenset[str]:
         return self._cells[cell_id].boundary
 
-    def cofaces(self, cell_id: str) -> tuple[str, ...]:
-        """Sorted cells one dimension up whose boundary holds cell_id."""
-        return self._cofaces.get(cell_id, ())
-
     def closure(self, cell_id: str) -> frozenset[str]:
         """All cells under cell_id, itself included; memoized per cell."""
         memo = self._kept.setdefault("closure", {})

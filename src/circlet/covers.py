@@ -10,9 +10,10 @@ and covers of facet-disjoint pieces merge across a shared side by
 re-pairing one copy from each piece, so every strongly connected even
 complex acquires a pseudomanifold cover.
 
-Gluings and covers determine each other: the pair carried by each side
-copy can be read back off a cover, and rebuilding from that gluing
-reproduces the cover verbatim.
+For covers passing rules (b), (e), (f) and (g) of verify_cover, gluings
+and covers determine each other: the pair carried by each side copy can
+be read back off a cover, and rebuilding from that gluing reproduces the
+cover verbatim.
 """
 
 from __future__ import annotations
@@ -210,59 +211,47 @@ def gluing_from_cover(cover: CoverMap) -> _Gluing:
     Each source side lies under exactly two facets; their images form one
     pair around the image side. Pair order follows the source side ids
     with digit runs compared numerically, which matches copy order for
-    covers built here. Structural violations raise InvalidCover.
+    covers built here. The first violation of rule (b), (e), (f) or (g)
+    of :func:`verify_cover` raises InvalidCover with its message; those
+    rules make the pairs at each side partition its facets. Rules (c)
+    and (h) are not asked for: a glued non-circlet need not be a
+    pseudomanifold.
     """
     m, k, phi = cover.source, cover.target, cover.cell_map
     if m.dim != k.dim or k.dim == 0:
         raise InvalidCover("source and target dimensions unusable")
-    target_facets = set(k.facets)
-    images: dict[str, str] = {}
-    for f in m.facets:
-        img = phi.get(f)
-        if img not in target_facets:
-            raise InvalidCover(f"facet {f!r} maps to non-facet {img!r}")
-        images[f] = img
-    if sorted(images.values()) != sorted(target_facets):
-        raise InvalidCover("facet map is not a bijection")
-
-    by_side: dict[str, list[str]] = {s: [] for s in k.sides}
-    for s_hat in m.sides:
-        img = phi.get(s_hat)
-        if img not in by_side:
-            raise InvalidCover(f"side {s_hat!r} maps to non-side {img!r}")
-        by_side[img].append(s_hat)
-
-    pairs: _Gluing = {}
-    for s in k.sides:
-        ordered = sorted(by_side[s], key=_natural_key)
-        chunk: list[tuple[str, str]] = []
-        for s_hat in ordered:
-            over = m.facets_over(s_hat)
-            if len(over) != 2:
-                raise InvalidCover(
-                    f"side copy {s_hat!r} lies under {len(over)} facets"
-                )
-            a, b = sorted(images[f] for f in over)
-            if a == b:
-                raise InvalidCover(
-                    f"side copy {s_hat!r} pairs {a!r} with itself"
-                )
-            chunk.append((a, b))
-        flat = [f for p in chunk for f in p]
-        if tuple(sorted(flat)) != k.facets_over(s):
-            raise InvalidCover(f"pairs at {s!r} do not partition its facets")
-        pairs[s] = tuple(chunk)
-    return pairs
+    for v in verify_cover(cover).violations:
+        if v.rule[0] in "befg":
+            raise InvalidCover(v.message)
+    return {
+        s: tuple(
+            tuple(sorted(map(phi.__getitem__, m.facets_over(c))))
+            for c in sorted(cover.preimage(s), key=_natural_key)
+        )
+        for s in k.sides
+    }
 
 
 # ---- merging covers ---------------------------------------------------
 
 
-def _repair(left: list[tuple[str, str]], right: list[tuple[str, str]]) -> None:
-    """First pairs {sigma, tau}, {mu, lambda} become {sigma, mu}, {tau, lambda}."""
-    (sigma, tau), (mu, lam) = left[0], right[0]
-    left[0] = (min(sigma, mu), max(sigma, mu))
-    right[0] = (min(tau, lam), max(tau, lam))
+def _merge_at(
+    pairs: dict[str, list[tuple[str, str]]],
+    piece: Mapping[str, Sequence[tuple[str, str]]],
+    side: str | None,
+) -> None:
+    """Append piece's pair lists to pairs', side by side, in place.
+
+    At ``side`` (skipped if None) the first pairs {sigma, tau} of pairs
+    and {mu, lambda} of piece first become {sigma, mu} and {tau, lambda}.
+    """
+    for s, p in piece.items():
+        mine = pairs.setdefault(s, [])
+        if s == side:
+            (sigma, tau), (mu, lam) = mine[0], p[0]
+            mine[0] = (min(sigma, mu), max(sigma, mu))
+            p = [(min(tau, lam), max(tau, lam)), *p[1:]]
+        mine += p
 
 
 def merge_covers(
@@ -288,18 +277,10 @@ def merge_covers(
         if mine is not None and mine != c:
             raise InvalidCover(f"targets disagree on cell {c.id!r}")
         merged_cells[c.id] = c
-    union = build_complex(merged_cells.values())
 
-    g_l = gluing_from_cover(cover_l)
-    g_c = gluing_from_cover(cover_c)
-    pairs: _Gluing = {}
-    for s in union.sides:
-        left = list(g_l.get(s, ()))
-        right = list(g_c.get(s, ()))
-        if s == side_id:
-            _repair(left, right)
-        pairs[s] = tuple(left + right)
-    return build_glued_complex(union, pairs)
+    pairs = {s: list(p) for s, p in gluing_from_cover(cover_l).items()}
+    _merge_at(pairs, gluing_from_cover(cover_c), side_id)
+    return build_glued_complex(build_complex(merged_cells.values()), pairs)
 
 
 # ---- the main construction -------------------------------------------
@@ -315,8 +296,8 @@ def euler_cover(
     sides), circlets taken in lexicographic order: each pairs its facets
     per side as :func:`canonical_gluing` on it alone would, the pair lists
     are concatenated per side, and each circlet is re-paired with those
-    before it at the smallest side they share, as :func:`merge_covers`
-    does. One build of the folded gluing gives the merge chain's cover.
+    before it at the smallest side they share, with :func:`merge_covers`'
+    own step. One build of the folded gluing gives the merge chain's cover.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -351,14 +332,7 @@ def euler_cover(
     for i in fold_order:
         rng = _rng(strategy, seed)
         piece = {s: _pair_up(over, rng) for s, over in sides_of[i]}
-        if pairs:
-            shared = next(s for s in piece if s in pairs)
-            _repair(pairs[shared], piece[shared])
-            for s, p in piece.items():
-                if pairs.setdefault(s, p) is not p:
-                    pairs[s] += p
-        else:
-            pairs = piece
+        _merge_at(pairs, piece, next((s for s in piece if s in pairs), None))
         near = {j for s in piece for j in parts_at[s]} - seen
         seen |= near
         fold_order += sorted(near)

@@ -159,8 +159,8 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     so the parts and their order are those of rescanning from the first
     column after every peel. Every circuit XORs to zero, so the remainder
     stays even; once the scan finds no dependency, the smallest facet with
-    what is left is the last circlet, and the one evenness check is made
-    there.
+    what is left is the last circlet. Evenness is checked once, on k's
+    side degrees, before the scan.
 
     The decomposition is kept on k, so later calls, those of
     :func:`circlet.covers.euler_cover` among them, return it without
@@ -190,10 +190,7 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
         peeled.update(circuit)
         for x in circuit[:-1]:  # the last is j, which never entered the basis
             gf2.drop_column(basis, x)
-    last = [p for p in range(len(facets)) if p not in peeled]
-    if reduce(xor, (cols[p] for p in last)):
-        raise NotEven("starting facet set is not even")
-    parts.append(tuple(facets[p] for p in last))
+    parts.append(tuple(facets[p] for p in range(len(facets)) if p not in peeled))
     d = k._kept["decomposition"] = CircletDecomposition(parts=tuple(parts))
     return d
 

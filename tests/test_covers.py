@@ -257,11 +257,53 @@ def test_gluing_round_trip_keeps_copy_order():
 
 def test_gluing_from_cover_rejects_tampering(octahedron):
     cover = cover_circlet(octahedron)
-    cm = dict(cover.cell_map)
-    f1, f2 = sorted(x for x in cm if x.endswith("^"))[:2]
-    cm[f1] = cm[f2]
-    with pytest.raises(InvalidCover):
-        gluing_from_cover(CoverMap(cover.source, cover.target, cm))
+
+    def read_back(cell_map=None, source=None):
+        cm = dict(cover.cell_map, **(cell_map or {}))
+        return gluing_from_cover(CoverMap(source or cover.source, octahedron, cm))
+
+    f1, f2 = "n1-n2-n3^", "n1-n2-p3^"
+    with pytest.raises(InvalidCover) as exc:
+        read_back({f1: cover.cell_map[f2]})
+    assert str(exc.value) == (
+        "boundary image of 'n1-n2-n3^' differs from boundary of 'n1-n2-p3'"
+    )
+    with pytest.raises(InvalidCover) as exc:
+        read_back({f1: "n1-n2"})
+    assert str(exc.value) == "'n1-n2-n3^' (dim 2) maps to dim 1"
+    # a moved vertex shows at the side copies over it, through rule (f)
+    with pytest.raises(InvalidCover) as exc:
+        read_back({"n1": "n2"})
+    assert str(exc.value) == (
+        "boundary image of 'n1-n2#1' differs from boundary of 'n1-n2'"
+    )
+    with pytest.raises(InvalidCover) as exc:
+        read_back(source=cover_circlet(cycle(4)).source)
+    assert str(exc.value) == "source and target dimensions unusable"
+
+
+def test_gluing_from_cover_rejects_a_double_cover():
+    # a hexagon wound twice round a triangle is cellular, but two edges
+    # lie over each edge of the triangle
+    tri = build_complex(builders.labeled_cycle(3, "t"))
+    hexagon = build_complex(builders.labeled_cycle(6, "h"))
+    cm = {f"h{kind}{i}": f"t{kind}{i % 3}" for kind in "ve" for i in range(6)}
+    with pytest.raises(InvalidCover) as exc:
+        gluing_from_cover(CoverMap(hexagon, tri, cm))
+    assert str(exc.value) == "facet map is not a bijection onto the target facets"
+
+
+def test_gluing_from_cover_rejects_a_side_copy_of_degree_3():
+    cover = euler_cover(two_triangles_at_z())
+    # reattach be2^ from z#2 to z#1, which then lies under three edges
+    cells = [
+        builders.cell("be2^", 1, ("bv2#1", "z#1")) if c.id == "be2^" else c
+        for c in cover.source
+    ]
+    moved = CoverMap(build_complex(cells), cover.target, cover.cell_map)
+    with pytest.raises(InvalidCover) as exc:
+        gluing_from_cover(moved)
+    assert str(exc.value) == "source side 'z#1' has degree 3, expected 2"
 
 
 # ---- merging ----------------------------------------------------------

@@ -8,7 +8,8 @@ decompose_into_circlets, euler_cover, verify_cover and side_tour that
 applies to it. A call may return or raise a CircletError; anything else
 escaping from the library fails the test. Every mangled cover document
 that loads must also get the same report from verify_cover as from the
-corner-link reference in oracles.py.
+corner-link reference in oracles.py, and every mangled cover whose
+gluing reads back must read back the same gluing once rebuilt from it.
 """
 
 import copy
@@ -17,8 +18,10 @@ import random
 import builders
 import oracles
 from circlet import (
+    build_glued_complex,
     decompose_into_circlets,
     euler_cover,
+    gluing_from_cover,
     serialize,
     side_tour,
     verify_cover,
@@ -165,3 +168,20 @@ def test_mangled_covers_verify_as_the_link_reference(tmp_path):
         got = outcome(verify_cover, cover)
         assert got == outcome(oracles.verify_by_links, cover), f"document {i}"
     assert loaded > DOCUMENTS // 10  # 314 of the 1500 load
+
+
+def test_mangled_covers_read_back_a_gluing_they_rebuild(tmp_path):
+    rng = random.Random(20261019)
+    docs = [doc for kind, doc in bases() if kind == "cover"]
+    read = 0
+    for i in range(DOCUMENTS):
+        doc = mangle(docs[i % len(docs)], rng)
+        try:
+            cover = serialize.cover_from_dict(doc, base_dir=tmp_path)
+            g = gluing_from_cover(cover)
+        except CircletError:
+            continue
+        read += 1
+        rebuilt = build_glued_complex(cover.target, g)
+        assert gluing_from_cover(rebuilt) == g, f"document {i}"
+    assert read > DOCUMENTS // 10  # 185 of the 1500 read back

@@ -56,6 +56,7 @@ from circlet.errors import (
     CircletError,
     DanglingReference,
     DuplicateCellId,
+    NotPure,
     ParseError,
     ZeroDimensional,
 )
@@ -129,8 +130,13 @@ def test_dual_multigraph_matches_scan(case):
     if k.dim == 0:
         with pytest.raises(ZeroDimensional):
             dual_multigraph(k)
+        with pytest.raises(ZeroDimensional):
+            strong_components(k)
     elif k.is_pure:
         assert dual_multigraph(k) == oracles.dual_multigraph_by_scan(k)
+    else:
+        with pytest.raises(NotPure):
+            strong_components(k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -649,6 +655,16 @@ def test_skeleton_verify_matches_links(case):
     k = VERIFY_CASES[case]()
     for strategy, seed in STRATEGIES:
         assert_verify_matches_links(euler_cover(k, strategy, seed), seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_glued_non_circlet_fails_source_connected(seed):
+    # one canonical gluing of a two-circlet complex keeps the circlets apart
+    k = random_even(seed, 2)
+    cover = build_glued_complex(k, canonical_gluing(k))
+    report = verify_cover(cover)
+    assert "c-source-connected" in {v.rule for v in report.violations}
+    assert report == oracles.verify_by_links(cover)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -147,6 +147,10 @@ def test_parse_errors(tmp_path):
                 "cells": [{"id": "a", "dim": 0, "boundary": []}],
             }
         )
+    doc = serialize.cover_to_dict(cover_circlet(cycle(4)))
+    doc["map"] = {}
+    with pytest.raises(ParseError, match="'map' must be a list"):
+        serialize.cover_from_dict(doc)
     missing = tmp_path / "nope.json"
     with pytest.raises(ParseError):
         serialize.load_complex(missing)
