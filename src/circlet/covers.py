@@ -223,12 +223,17 @@ def gluing_from_cover(cover: CoverMap) -> _Gluing:
     for v in verify_cover(cover).violations:
         if v.rule[0] in "befg":
             raise InvalidCover(v.message)
+    # group the source's own sides, not every key mapped to a side: no
+    # rule reads a map key that is not a source cell, so it makes no pair
+    copies: dict[str, list[str]] = {s: [] for s in k.sides}
+    for c in m.sides:
+        copies[phi[c]].append(c)
     return {
         s: tuple(
             tuple(sorted(map(phi.__getitem__, m.facets_over(c))))
-            for c in sorted(cover.preimage(s), key=_natural_key)
+            for c in sorted(cs, key=_natural_key)
         )
-        for s in k.sides
+        for s, cs in copies.items()
     }
 
 

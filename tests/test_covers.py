@@ -45,6 +45,7 @@ from circlet.families import (
     random_even_multigraph,
     simplex_skeleton,
 )
+from circlet.serialize import cover_from_dict, cover_to_dict
 
 
 def two_triangles_at_z():
@@ -280,6 +281,29 @@ def test_gluing_from_cover_rejects_tampering(octahedron):
     with pytest.raises(InvalidCover) as exc:
         read_back(source=cover_circlet(cycle(4)).source)
     assert str(exc.value) == "source and target dimensions unusable"
+
+
+def test_gluing_from_cover_ignores_map_keys_that_are_not_source_cells(
+    octahedron,
+):
+    # no rule of verify_cover reads a key outside the source, and
+    # cover_from_dict takes any extra entry; a ghost side copy makes no pair
+    cover = cover_circlet(octahedron)
+    doc = cover_to_dict(cover)
+    doc["map"].append({"from": "ghost", "to": "n1-n2"})
+    loaded = cover_from_dict(doc)
+    assert "ghost" in loaded.cell_map
+    assert verify_cover(loaded).passed
+    assert gluing_from_cover(loaded) == gluing_from_cover(cover)
+    tri_a = build_complex(builders.labeled_cycle(3, "a", share="z"))
+    tri_b = build_complex(builders.labeled_cycle(3, "b", share="z"))
+    cover_a, cover_b = cover_circlet(tri_a), cover_circlet(tri_b)
+    ghosted = CoverMap(
+        cover_a.source, cover_a.target, dict(cover_a.cell_map, ghost="z")
+    )
+    assert cover_to_dict(merge_covers(ghosted, cover_b, "z")) == cover_to_dict(
+        merge_covers(cover_a, cover_b, "z")
+    )
 
 
 def test_gluing_from_cover_rejects_a_double_cover():

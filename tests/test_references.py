@@ -315,9 +315,11 @@ def test_extract_circlet_matches_shrink_on_every_even_set(make):
 def assert_matches_references(k, strategy, seed):
     parts = decompose_into_circlets(k).parts
     assert parts == oracles.decompose_by_deletion(k)
-    assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
-        oracles.fold_by_merges(k, strategy, seed)
-    )
+    got = cover_to_dict(euler_cover(k, strategy, seed))
+    assert got == cover_to_dict(oracles.fold_by_merges(k, strategy, seed))
+    # fold_by_merges shares merge_covers' step with euler_cover; this one
+    # re-pairs and concatenates with its own code
+    assert got == cover_to_dict(oracles.fold_by_subcomplexes(k, strategy, seed))
 
 
 def test_many_small_circlets_match_deletion():
