@@ -95,12 +95,11 @@ class Complex:
     the ids per dimension, and the coface map, the boundary relation
     inverted (cell -> the cells one dimension up, sorted). Purity, side
     degrees, :meth:`facets_over` and :func:`corner_link` read the coface
-    map, never scanning. The side degrees, the closures, the dual
-    multigraph, the strong components, the incidence matrix
-    (:func:`circlet.matroid.incidence_matrix`) and the circlet
+    map, never scanning. The side degrees, the closures, the incidence
+    matrix (:func:`circlet.matroid.incidence_matrix`) and the circlet
     decomposition (:func:`circlet.matroid.decompose_into_circlets`) are
     kept once asked for, each by its producer under its own key of
-    ``_kept``.
+    ``_kept``; nothing else is kept.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -429,17 +428,13 @@ def dual_multigraph(k: Complex) -> DualMultigraph:
     A side of degree d contributes d*(d-1)/2 parallel-free edges, one per
     unordered facet pair over it; parallel edges between a pair arise from
     distinct shared sides. Requires a pure complex of dimension >= 1.
+    Built afresh on every call: only ``export-dual`` reads it.
     """
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no dual")
-    if (cached := k._kept.get("dual")) is not None:
-        return cached
     if not k.is_pure:
         raise NotPure("dual multigraph needs a pure complex")
-    g = k._kept["dual"] = DualMultigraph(
-        vertices=k.facets, edges=_pair_edges(k, k.sides)
-    )
-    return g
+    return DualMultigraph(vertices=k.facets, edges=_pair_edges(k, k.sides))
 
 
 def corner_link(k: Complex, corner_id: str) -> DualMultigraph:
@@ -462,12 +457,10 @@ def strong_components(k: Complex) -> list[frozenset[str]]:
     """Connected components of the dual multigraph, as facet-id sets.
 
     Components are ordered by their smallest facet id. A complex with one
-    component is called strongly connected.
+    component is called strongly connected. Not kept: no caller asks twice.
     """
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no dual")
-    if (cached := k._kept.get("components")) is not None:
-        return list(cached)
     if not k.is_pure:
         raise NotPure("strong components need a pure complex")
     # a search from each unseen facet in id order: the first facet of a
@@ -492,7 +485,6 @@ def strong_components(k: Complex) -> list[frozenset[str]]:
                         seen.add(h)
                         found.append(h)
         comps.append(frozenset(found))
-    k._kept["components"] = tuple(comps)
     return comps
 
 

@@ -303,14 +303,15 @@ def euler_cover(
     are concatenated per side, and each circlet is re-paired with those
     before it at the smallest side they share, with :func:`merge_covers`'
     own step. One build of the folded gluing gives the merge chain's cover.
+    Connectivity is read off the fold: a dual component of an even set is
+    even, so each circlet is one, and the walk reaches them all exactly
+    when ``k`` is strongly connected.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
         raise NotPure("cover needs a pure complex")
     if not profile.is_even:
         raise NotEven("cover needs every side degree positive and even")
-    if len(strong_components(k)) != 1:
-        raise NotStronglyConnected("cover needs one dual component")
 
     # parts by rank, so the smallest index is the lexicographically first
     parts = sorted(tuple(p) for p in decompose_into_circlets(k).parts)
@@ -319,28 +320,25 @@ def euler_cover(
         raise NotCirclet(report.violations[0].message)
 
     part_of = {f: i for i, p in enumerate(parts) for f in p}
-    # per part, (side, its facets over the side) in side order
-    sides_of: list[list[tuple[str, list[str]]]] = [[] for _ in parts]
-    parts_at: dict[str, dict[int, list[str]]] = {}  # side -> part -> facets
-    for s in k.sides:
-        by_part: dict[int, list[str]] = {}
-        for f in k.facets_over(s):
-            by_part.setdefault(part_of[f], []).append(f)
-        parts_at[s] = by_part
-        for i, over in by_part.items():
-            sides_of[i].append((s, over))
-
     # breadth-first, the list its own queue: each circlet is folded in as
     # it is dequeued, so one folded before it shares a side with it
     pairs: dict[str, list[tuple[str, str]]] = {}
     fold_order, seen = [0], {0}
     for i in fold_order:
         rng = _rng(strategy, seed)
-        piece = {s: _pair_up(over, rng) for s, over in sides_of[i]}
+        over: dict[str, list[str]] = {}  # side -> the part's facets over it
+        for f in parts[i]:  # in id order, so each list is too
+            for s in k.boundary(f):
+                over.setdefault(s, []).append(f)
+        piece = {s: _pair_up(over[s], rng) for s in sorted(over)}
+        # a side already folded in was crossed then, its circlets all seen
+        fresh = (s for s in piece if s not in pairs)
+        near = {part_of[g] for s in fresh for g in k.facets_over(s)} - seen
         _merge_at(pairs, piece, next((s for s in piece if s in pairs), None))
-        near = {j for s in piece for j in parts_at[s]} - seen
         seen |= near
         fold_order += sorted(near)
+    if len(fold_order) < len(parts):
+        raise NotStronglyConnected("cover needs one dual component")
     return build_glued_complex(k, pairs)
 
 
@@ -572,8 +570,6 @@ def side_tour(m: Complex) -> SideTour:
             stack.pop()
             if via >= 0:
                 out.append(via)
-    if len(out) != len(sides):
-        raise NotPseudomanifold("no closed walk through every side exists")
     seq = [sides[i] for i in reversed(out)]
 
     # canonical form: rotate the smallest side to the front, then pick

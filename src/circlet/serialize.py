@@ -292,6 +292,8 @@ def cover_from_dict(doc: Any, base_dir: Path | None = None) -> CoverMap:
         if entry["from"] in cell_map:
             raise ParseError(f"map lists {entry['from']!r} twice")
         cell_map[entry["from"]] = entry["to"]
+    if stray := cell_map.keys() - source._cells.keys():
+        raise ParseError(f"map names {min(stray)!r}, which is not a source cell")
     return CoverMap(source=source, target=target, cell_map=cell_map)
 
 

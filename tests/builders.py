@@ -66,15 +66,14 @@ def path_graph():
     )
 
 
+def relabeled(k, name):
+    """The cells of k with every id, boundaries included, passed through name."""
+    return [cell(name(c.id), c.dim, [name(b) for b in c.boundary]) for c in k]
+
+
 def renamed(k, old, new):
     """The complex k with the cell id old replaced by new everywhere."""
-
-    def name(cid):
-        return new if cid == old else cid
-
-    return build_complex(
-        [cell(name(c.id), c.dim, [name(b) for b in c.boundary]) for c in k]
-    )
+    return build_complex(relabeled(k, lambda cid: new if cid == old else cid))
 
 
 def finned_chain(copies, k=3, m=4):

@@ -188,6 +188,15 @@ def test_verify_tampered_cover(capsys, tmp_path, delta52_file):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "FAIL" in err
+    # a map entry for a cell the source lacks is an input error
+    doc["map"].append({"from": "ghost", "to": lifted[0]["to"]})
+    cover_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(cover_path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParseError",
+        "message": "map names 'ghost', which is not a source cell",
+    }
 
 
 def test_cover_seeded_deterministic(capsys, tmp_path):

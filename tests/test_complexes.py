@@ -153,6 +153,8 @@ def test_iteration_order_and_equality(tetra):
     rebuilt = build_complex(list(tetra))
     assert rebuilt == tetra
     assert rebuilt != build_complex([cell("a", 0)])
+    assert tetra != list(tetra)
+    assert repr(tetra) == "Complex(dim=2, cells=[4,6,4])"
 
 
 # ---- queries ----------------------------------------------------------

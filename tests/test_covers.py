@@ -286,15 +286,14 @@ def test_gluing_from_cover_rejects_tampering(octahedron):
 def test_gluing_from_cover_ignores_map_keys_that_are_not_source_cells(
     octahedron,
 ):
-    # no rule of verify_cover reads a key outside the source, and
-    # cover_from_dict takes any extra entry; a ghost side copy makes no pair
+    # no rule of verify_cover reads a key outside the source; the loader
+    # rejects one, naming the smallest, and in the library it makes no pair
     cover = cover_circlet(octahedron)
     doc = cover_to_dict(cover)
-    doc["map"].append({"from": "ghost", "to": "n1-n2"})
-    loaded = cover_from_dict(doc)
-    assert "ghost" in loaded.cell_map
-    assert verify_cover(loaded).passed
-    assert gluing_from_cover(loaded) == gluing_from_cover(cover)
+    doc["map"] += [{"from": "ghost", "to": "n1-n2"}, {"from": "g", "to": "n1"}]
+    with pytest.raises(ParseError) as exc:
+        cover_from_dict(doc)
+    assert str(exc.value) == "map names 'g', which is not a source cell"
     tri_a = build_complex(builders.labeled_cycle(3, "a", share="z"))
     tri_b = build_complex(builders.labeled_cycle(3, "b", share="z"))
     cover_a, cover_b = cover_circlet(tri_a), cover_circlet(tri_b)
@@ -356,6 +355,14 @@ def test_merge_needs_a_shared_side():
     tri_b = build_complex(builders.labeled_cycle(3, "b"))
     with pytest.raises(NoSharedSide):
         merge_covers(cover_circlet(tri_a), cover_circlet(tri_b), "av0")
+    # a side both targets name, but with different endpoints in each
+    tet = simplex_skeleton(4, 2)
+    apart = build_complex(
+        builders.relabeled(tet, lambda cid: cid if cid == "1-2" else f"b{cid}")
+    )
+    with pytest.raises(InvalidCover) as exc:
+        merge_covers(cover_circlet(tet), cover_circlet(apart), "1-2")
+    assert str(exc.value) == "targets disagree on cell '1-2'"
 
 
 # ---- the cover construction -------------------------------------------
@@ -432,6 +439,20 @@ def test_euler_cover_rejections(delta42):
     )
     with pytest.raises(NotStronglyConnected):
         euler_cover(two_squares)
+    # two components of three circlets each: the fold stops after the first
+    k = random_even(0, 3)
+    twice = build_complex(
+        [c for tag in "ab" for c in builders.relabeled(k, lambda cid: tag + cid)]
+    )
+    assert len(decompose_into_circlets(twice).parts) == 6
+    for strategy in ("canonical", "seeded"):
+        with pytest.raises(NotStronglyConnected) as exc:
+            euler_cover(twice, strategy=strategy, seed=3)
+        assert str(exc.value) == "cover needs one dual component"
+    # the strategy is read as the fold starts, before connectivity is known
+    with pytest.raises(BadParameters) as exc:
+        euler_cover(twice, strategy="shuffled")
+    assert str(exc.value) == "unknown strategy 'shuffled'"
 
 
 def _adjacent_parts(k):
@@ -606,3 +627,5 @@ def test_tour_rejections(octahedron, tetra, delta52, grid):
     )
     with pytest.raises(NotPseudomanifold):
         side_tour(two_squares)
+    with pytest.raises(NotPseudomanifold, match="^not pure$"):
+        side_tour(builders.triangle_with_extra_vertex())

@@ -173,6 +173,8 @@ def test_random_even_multigraph():
     one = serialize.dumps(serialize.complex_to_dict(random_even_multigraph(2)))
     two = serialize.dumps(serialize.complex_to_dict(random_even_multigraph(2)))
     assert one == two
+    with pytest.raises(BadParameters):
+        random_even_multigraph(0, max_vertices=1)
 
 
 # ---- dispatch ---------------------------------------------------------
