@@ -1,19 +1,18 @@
-"""Time decompose_into_circlets, euler_cover and verify_cover up two ladders.
+"""Time every pipeline stage up two ladders, and pin the outputs.
 
-Runs them on random_even(1, n) for n = 80, 160, 320, 640, 1280 circlets
-and on simplex_skeleton(v, 2) for v = 20, 30, 40, whose long independent
-prefixes keep the elimination basis large; verify_cover checks the cover
-euler_cover built. Reports per rung the best of N runs of each, the
-log-log slope of that time against the facet count from the rung below
-in the same ladder, and the first 16 hex digits of the sha256 of the
-canonical JSON of the decomposition, the cover and the verify report.
-Every repeat checks that the cover passes verify_cover and that all
-three are the same as on the first run.
-A complex keeps its incidence matrix and its circlet decomposition once
-built, so each repeat hands decompose_into_circlets and euler_cover a
-fresh copy of the rung's complex, built outside the timing: no repeat
-reuses an earlier matrix or decomposition, and the cover column times a
-full peel.
+Ladders: random_even(1, n) for n = 80 to 1280 circlets, and
+simplex_skeleton(v, 2) for v = 20, 30, 40, whose long independent
+prefixes keep the elimination basis large. Per rung, the best of N runs
+of decompose_into_circlets, euler_cover, serialize.cover_json (dump),
+serialize.load_cover of the written file (load) and verify_cover of the
+loaded cover; the last three are the CLI's `cover -o`, then `verify`.
+A complex keeps its incidence matrix and decomposition once built, so
+each repeat decomposes and covers fresh copies, built outside the timing.
+Each rung shows sha256 prefixes of the decomposition's, the cover's and
+the report's canonical JSON; each ladder ends with every stage's
+exponent, the least-squares slope of log time against log facet count.
+Every repeat asserts that the report passes, that the loaded cover
+writes back the same text, and that the digests are the recorded ones.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """
@@ -21,21 +20,37 @@ Usage: python3 benchmarks/bench_cover.py [--repeat N]
 import argparse
 import hashlib
 import math
+import statistics
+import tempfile
 import time
+from pathlib import Path
 
-from circlet import (
-    Complex,
-    decompose_into_circlets,
-    euler_cover,
-    serialize,
-    verify_cover,
-)
+from circlet import Complex, decompose_into_circlets, euler_cover, verify_cover
+from circlet import serialize
 from circlet.families import random_even, simplex_skeleton
 
+PASSED = "0adf2161214843ba"  # a passing report has no violations
 LADDERS = (
-    [(f"random_even(1, {n})", random_even, (1, n)) for n in (80, 160, 320, 640, 1280)],
-    [(f"simplex_skeleton({v}, 2)", simplex_skeleton, (v, 2)) for v in (20, 30, 40)],
+    [
+        (f"random_even(1, {n})", random_even, (1, n), parts, cover)
+        for n, parts, cover in (
+            (80, "3bb4e69d3611b27b", "8baaa07b38c6f13a"),
+            (160, "8837b8e880398e6d", "3823bf095f2bee16"),
+            (320, "c746688e7c347a80", "8abb479056066c5c"),
+            (640, "4eacc071fc7cee09", "a5a355523ffd0907"),
+            (1280, "e092f6b82d457da4", "35e19113362560cc"),
+        )
+    ],
+    [
+        (f"simplex_skeleton({v}, 2)", simplex_skeleton, (v, 2), parts, cover)
+        for v, parts, cover in (
+            (20, "af98d9264d0e2022", "ebb429f4cf9fb9da"),
+            (30, "64c9a7e5be9111a0", "0073ee07c642a1d3"),
+            (40, "188e6ff5b9cc5579", "8d44c4cf6c193fa0"),
+        )
+    ],
 )
+STAGES = ("decompose", "cover", "dump", "load", "verify")
 
 
 def timed(fn, *args):
@@ -44,57 +59,49 @@ def timed(fn, *args):
     return time.perf_counter() - start, result
 
 
-def slope(t, t_prev, f, f_prev):
-    if t_prev is None:
-        return ""
-    return f"{math.log(t / t_prev) / math.log(f / f_prev):.2f}"
-
-
-def sha(doc):
-    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()[:16]
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args()
-    repeat = max(1, args.repeat)
+    repeat = max(1, parser.parse_args().repeat)
 
-    print(
-        f"{'input':<24} {'facets':>7} {'circlets':>8} {'decompose':>10} "
-        f"{'slope':>6} {'cover':>10} {'slope':>6} {'verify':>10} {'slope':>6}  "
-        f"{'parts sha256':<16}  {'cover sha256':<16}  report sha256"
-    )
-    for ladder in LADDERS:
-        prev = None
-        for name, family, params in ladder:
-            k = family(*params)
-            facets = len(k.facets)
-            times = [math.inf] * 3
-            digests = None
-            for _ in range(repeat):
-                a, got = timed(decompose_into_circlets, Complex(k))
-                b, cover = timed(euler_cover, Complex(k))
-                c, report = timed(verify_cover, cover)
-                assert report.passed, f"{name}: {report.violations[0].message}"
-                now = (
-                    sha(serialize.decomposition_to_dict(got)),
-                    sha(serialize.cover_to_dict(cover)),
-                    sha(serialize.report_to_dict(report)),
-                )
-                assert digests in (None, now), f"{name}: output differs"
-                digests = now
-                times = [min(t, x) for t, x in zip(times, (a, b, c))]
-            p_times, p_facets = prev or ((None,) * 3, None)
-            cols = "".join(
-                f" {t * 1e3:>8.1f}ms {slope(t, p, facets, p_facets):>6}"
-                for t, p in zip(times, p_times)
-            )
-            print(
-                f"{name:<24} {facets:>7} {len(got.parts):>8}{cols}  "
-                + "  ".join(digests)
-            )
-            prev = (times, facets)
+    print(f"{'input':<24} {'facets':>7} {'circlets':>8}", end="")
+    print("".join(f"{s:>11}" for s in STAGES) + "  parts, cover, report sha256")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cover.json"
+        for ladder in LADDERS:
+            facets, best = [], []
+            for name, family, params, *recorded in ladder:
+                k = family(*params)
+                times = [math.inf] * len(STAGES)
+                for _ in range(repeat):
+                    a, got = timed(decompose_into_circlets, Complex(k))
+                    b, cover = timed(euler_cover, Complex(k))
+                    c, text = timed(serialize.cover_json, cover)
+                    path.write_text(text)
+                    d, loaded = timed(serialize.load_cover, path)
+                    e, report = timed(verify_cover, loaded)
+                    assert report.passed, f"{name}: {report.violations[0].message}"
+                    assert serialize.cover_json(loaded) == text, f"{name}: round trip"
+                    digests = (
+                        sha(serialize.dumps(serialize.decomposition_to_dict(got))),
+                        sha(text),
+                        sha(serialize.dumps(serialize.report_to_dict(report))),
+                    )
+                    assert digests == (*recorded, PASSED), f"{name}: digests {digests}"
+                    times = [min(t, x) for t, x in zip(times, (a, b, c, d, e))]
+                facets.append(len(k.facets))
+                best.append(times)
+                cols = "".join(f" {t * 1e3:>8.1f}ms" for t in times)
+                sums = "  ".join(digests)
+                print(f"{name:<24} {facets[-1]:>7} {len(got.parts):>8}{cols}  {sums}")
+            fit = statistics.linear_regression
+            x = list(map(math.log, facets))
+            slopes = (fit(x, list(map(math.log, col))).slope for col in zip(*best))
+            print(f"{'exponent':<41}" + "".join(f"{e:>11.2f}" for e in slopes))
 
 
 if __name__ == "__main__":

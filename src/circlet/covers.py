@@ -307,6 +307,7 @@ def euler_cover(
     even, so each circlet is one, and the walk reaches them all exactly
     when ``k`` is strongly connected.
     """
+    _rng(strategy, seed)  # an unknown strategy fails before any work
     profile = degree_profile(k)
     if not profile.is_pure:
         raise NotPure("cover needs a pure complex")
@@ -475,38 +476,36 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
                 )
             )
 
-        if n >= 1:
-            preimages = Counter(map(phi.__getitem__, m.sides))
-            for s in k.sides:
-                deg = len(target_cofaces(s, ()))
-                got = preimages.get(s, 0)
-                if deg != 2 * got:
-                    v.append(
-                        Violation(
-                            "g-preimage-count",
-                            (s,),
-                            f"side {s!r} of degree {deg} has {got} preimages",
-                        )
-                    )
-
-    if m.dim >= 2:
-        for corner in m.corners:
-            degree: dict[str, int] = {}
-            for s in cofaces(corner, ()):
-                over = cofaces(s, ())
-                for f in over:
-                    degree[f] = degree.get(f, 0) + len(over) - 1
-            if set(degree.values()) <= {2}:
-                continue
-            for f in sorted(f for f, d in degree.items() if d != 2):
+        preimages = Counter(map(phi.__getitem__, m.sides))
+        for s in k.sides:
+            deg = len(target_cofaces(s, ()))
+            got = preimages.get(s, 0)
+            if deg != 2 * got:
                 v.append(
                     Violation(
-                        "h-corner-link",
-                        (corner, f),
-                        f"corner {corner!r} has degree {degree[f]} "
-                        f"at facet {f!r}, expected 2",
+                        "g-preimage-count",
+                        (s,),
+                        f"side {s!r} of degree {deg} has {got} preimages",
                     )
                 )
+
+    for corner in m.corners:
+        degree: dict[str, int] = {}
+        for s in cofaces(corner, ()):
+            over = cofaces(s, ())
+            for f in over:
+                degree[f] = degree.get(f, 0) + len(over) - 1
+        if set(degree.values()) <= {2}:
+            continue
+        for f in sorted(f for f, d in degree.items() if d != 2):
+            v.append(
+                Violation(
+                    "h-corner-link",
+                    (corner, f),
+                    f"corner {corner!r} has degree {degree[f]} "
+                    f"at facet {f!r}, expected 2",
+                )
+            )
     return ValidationReport.from_violations(v)
 
 

@@ -1,5 +1,9 @@
 """Small hand-built complexes shared across test modules."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 from circlet import cell
 from circlet.complexes import build_complex
 from circlet.families import finned_circlet
@@ -99,3 +103,31 @@ def finned_chain(copies, k=3, m=4):
         for x in base:
             cells.setdefault(name(x.id), cell(name(x.id), x.dim, map(name, x.boundary)))
     return build_complex(cells.values())
+
+
+def random_boundary(seed, v, d, p):
+    """The mod-2 boundary of a random set of (d+1)-simplices on labels 1..v.
+
+    Each (d+2)-subset of the labels is drawn when ``rng.random() < p``, one
+    draw per subset in ``itertools.combinations`` order. The facets are the
+    (d+1)-subsets under an odd number of drawn simplices, and the cells are
+    their closure, ids joined by dashes as in ``simplex_skeleton``. Every
+    side lies under an even number of facets, since the boundary of a
+    boundary is zero; sides can be thick and circlets need not be
+    pseudomanifolds. None when no facet is left.
+    """
+    rng = random.Random(seed)
+    under = Counter()
+    for simplex in combinations([str(i) for i in range(1, v + 1)], d + 2):
+        if rng.random() < p:
+            under.update(combinations(simplex, d + 1))
+    facets = [f for f, n in under.items() if n % 2]
+    if not facets:
+        return None
+    closure = {c for f in facets for r in range(1, d + 2) for c in combinations(f, r)}
+    return build_complex(
+        cell("-".join(c), len(c) - 1, map("-".join, combinations(c, len(c) - 1)))
+        if len(c) > 1
+        else cell(c[0], 0)
+        for c in closure
+    )

@@ -1,10 +1,8 @@
 """The binding acceptance checks, one test per criterion.
 
-Each test prints one pass/fail line and enforces its time budget. The
-session fixture in conftest warms the compiled kernels first, so no
-budget ever pays for one-time compilation. Criterion 7 reuses the
-pseudomanifolds built by criteria 3 and 5; when it runs alone it
-rebuilds them outside its own timed window.
+Each test prints one pass/fail line and enforces its time budget.
+Criterion 7 reuses the pseudomanifolds built by criteria 3 and 5; when
+it runs alone it rebuilds them outside its own timed window.
 """
 
 import time

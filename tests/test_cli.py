@@ -177,6 +177,54 @@ def test_cover_id_clash_is_a_parse_error(capsys, tmp_path):
     assert "'1-2#1'" in doc["message"]
 
 
+def _doc(cells):
+    """A complex document from (id, dim, boundary) triples."""
+    return {
+        "dimension": max(d for _, d, _ in cells),
+        "cells": [{"id": i, "dim": d, "boundary": list(b)} for i, d, b in cells],
+    }
+
+
+_POINTS = [("a", 0, ""), ("b", 0, "")]
+_EDGE = [*_POINTS, ("e", 1, "ab")]
+_TWO_CYCLE = [*_EDGE, ("f", 1, "ab")]
+_NO_BIJECTION = (
+    "e-facet-bijection",
+    (),
+    "facet map is not a bijection onto the target facets",
+)
+LOW_DIM_COVERS = {
+    "points": (_POINTS, _POINTS, {"a": "a", "b": "b"}, []),
+    "edge_on_points": (
+        _EDGE,
+        _POINTS,
+        {"a": "a", "b": "b", "e": "a"},
+        [
+            ("f-cellular", ("e", "a"), "'e' (dim 1) maps to dim 0"),
+            ("b-side-degree", ("a",), "source side 'a' has degree 1, expected 2"),
+            ("b-side-degree", ("b",), "source side 'b' has degree 1, expected 2"),
+        ],
+    ),
+    "points_on_edge": (
+        _POINTS,
+        _EDGE,
+        {"a": "a", "b": "b"},
+        [
+            _NO_BIJECTION,
+            ("g-preimage-count", ("a",), "side 'a' of degree 1 has 0 preimages"),
+            ("g-preimage-count", ("b",), "side 'b' of degree 1 has 0 preimages"),
+        ],
+    ),
+    "two_cycle": (_TWO_CYCLE, _TWO_CYCLE, {c: c for c in "abef"}, []),
+    "folded_two_cycle": (
+        _TWO_CYCLE,
+        _TWO_CYCLE,
+        {"a": "a", "b": "b", "e": "e", "f": "e"},
+        [_NO_BIJECTION],
+    ),
+}
+
+
 def test_verify_tampered_cover(capsys, tmp_path, delta52_file):
     cover_path = tmp_path / "cover.json"
     run(capsys, "cover", delta52_file, "-o", str(cover_path))
@@ -197,6 +245,23 @@ def test_verify_tampered_cover(capsys, tmp_path, delta52_file):
         "error": "ParseError",
         "message": "map names 'ghost', which is not a source cell",
     }
+    # covers of dimension 0 and 1: a 0-dimensional target has no sides for
+    # rule (g), and a source below dimension 2 has no corners for rule (h)
+    for name, (source, target, cell_map, want) in LOW_DIM_COVERS.items():
+        doc = {
+            "source": _doc(source),
+            "target": _doc(target),
+            "map": [{"from": a, "to": b} for a, b in cell_map.items()],
+        }
+        cover_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cover_path))
+        violations = [
+            {"rule": r, "cells": list(c), "message": m} for r, c, m in want
+        ]
+        assert (code, json.loads(out)) == (
+            1 if want else 0,
+            {"passed": not want, "violations": violations},
+        ), name
 
 
 def test_cover_seeded_deterministic(capsys, tmp_path):

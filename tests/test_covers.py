@@ -490,11 +490,18 @@ def test_euler_cover_checks_every_part(monkeypatch, damage):
         euler_cover(k, strategy="seeded", seed=3)
 
 
-def test_euler_cover_rejects_unknown_strategy():
+def test_euler_cover_rejects_unknown_strategy(delta42):
     with pytest.raises(BadParameters):
         euler_cover(random_even(1, 4), strategy="shuffled")
     with pytest.raises(BadParameters):
         euler_cover(simplex_skeleton(4, 2), strategy="shuffled")
+    # the strategy is checked before evenness and before any decomposition
+    with pytest.raises(BadParameters):
+        euler_cover(delta42, strategy="shuffled")
+    k = random_even(1, 640)
+    with pytest.raises(BadParameters):
+        euler_cover(k, strategy="shuffled")
+    assert "decomposition" not in k._kept
 
 
 @pytest.mark.parametrize("clash", ["1-2#1", "1-2-3^"])

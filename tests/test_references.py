@@ -57,6 +57,7 @@ from circlet.errors import (
     DanglingReference,
     DuplicateCellId,
     NotPure,
+    NotStronglyConnected,
     ParseError,
     ZeroDimensional,
 )
@@ -475,6 +476,36 @@ def test_fold_sizes_match_subcomplex_fold(case, strategy, seed):
     assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
         oracles.fold_by_subcomplexes(k, strategy, seed)
     )
+
+
+# mod-2 boundaries of random simplices: sides under up to 6 facets,
+# circlets that are not pseudomanifolds, and dimension 3
+BOUNDARY_DRAWS = [(7, 1, 0.3), (7, 2, 0.25), (8, 2, 0.15), (7, 3, 0.2), (9, 2, 0.05)]
+
+
+@pytest.mark.parametrize("v, d, p", BOUNDARY_DRAWS)
+def test_random_boundaries_match_references(v, d, p):
+    for seed in range(6):
+        k = builders.random_boundary(seed, v, d, p)
+        if k is None:
+            continue
+        assert validate_regularity(k).passed
+        if len(k.facets) <= 16:
+            # one partition into minimal even sets, not the list of them all
+            minimal = set(oracles.minimal_even_facet_sets(k))
+            parts = decompose_into_circlets(k).parts
+            assert {frozenset(q) for q in parts} <= minimal
+            assert sorted(f for q in parts for f in q) == sorted(k.facets)
+        for strategy, s in STRATEGIES:
+            assert_matches_references(k, strategy, s)
+            assert_verify_matches_links(euler_cover(k, strategy, s), seed)
+
+
+def test_disconnected_boundary_has_no_cover():
+    k = builders.random_boundary(18, 9, 2, 0.05)
+    assert len(k.facets) == 8 and len(strong_components(k)) == 2
+    with pytest.raises(NotStronglyConnected, match="cover needs one dual component"):
+        euler_cover(k)
 
 
 # ---- glued build --------------------------------------------------------
