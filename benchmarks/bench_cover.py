@@ -6,8 +6,8 @@ prefixes keep the elimination basis large. Per rung, the best of N runs
 of decompose_into_circlets, euler_cover, serialize.cover_json (dump),
 serialize.load_cover of the written file (load) and verify_cover of the
 loaded cover; the last three are the CLI's `cover -o`, then `verify`.
-A complex keeps its incidence matrix and decomposition once built, so
-each repeat decomposes and covers fresh copies, built outside the timing.
+A complex keeps its decomposition once built, so each repeat
+decomposes and covers fresh copies, built outside the timing.
 Each rung shows sha256 prefixes of the decomposition's, the cover's and
 the report's canonical JSON; each ladder ends with every stage's
 exponent, the least-squares slope of log time against log facet count.

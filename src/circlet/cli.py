@@ -41,13 +41,14 @@ Result = tuple[str, str, int]  # stdout text, stderr summary, exit code
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    # an id with a lone surrogate fails to encode, before any file is opened
+    try:
+        if out:
+            Path(out).write_bytes(text.encode())
+        else:
+            sys.stdout.write(text)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise OutputError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _say(message: str) -> None:

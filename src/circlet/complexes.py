@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -95,11 +96,11 @@ class Complex:
     the ids per dimension, and the coface map, the boundary relation
     inverted (cell -> the cells one dimension up, sorted). Purity, side
     degrees, :meth:`facets_over` and :func:`corner_link` read the coface
-    map, never scanning. The side degrees, the closures, the incidence
-    matrix (:func:`circlet.matroid.incidence_matrix`) and the circlet
-    decomposition (:func:`circlet.matroid.decompose_into_circlets`) are
-    kept once asked for, each by its producer under its own key of
-    ``_kept``; nothing else is kept.
+    map, never scanning. The side degrees (as a read-only view), the
+    closures and the circlet decomposition
+    (:func:`circlet.matroid.decompose_into_circlets`) are kept once asked
+    for, each by its producer under its own key of ``_kept``; nothing else
+    is kept.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -220,13 +221,13 @@ class Complex:
 
     @property
     def side_degrees(self) -> Mapping[str, int]:
-        """Side -> number of facets over it; counted once, then kept."""
+        """Side -> number of facets over it; counted once, kept read-only."""
         got = self._kept.get("side_degrees")
         if got is None:
             cofaces = self._cofaces
-            got = self._kept["side_degrees"] = {
-                s: len(cofaces.get(s, ())) for s in self.sides
-            }
+            got = self._kept["side_degrees"] = MappingProxyType(
+                {s: len(cofaces.get(s, ())) for s in self.sides}
+            )
         return got
 
     @property
@@ -376,7 +377,7 @@ def degree_profile(k: Complex) -> DegreeProfile:
     """Side degrees plus the pure/even verdicts. Needs dimension >= 1."""
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no sides")
-    degrees = dict(k.side_degrees)
+    degrees = k.side_degrees  # a read-only view, shared
     pure = k.is_pure
     even = pure and all(d > 0 and d % 2 == 0 for d in degrees.values())
     return DegreeProfile(degrees=degrees, is_pure=pure, is_even=even)

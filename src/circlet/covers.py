@@ -42,7 +42,6 @@ from .errors import (
     GluingMismatch,
     InvalidCover,
     NoSharedSide,
-    NotCirclet,
     NotEven,
     NotFacetDisjoint,
     NotPseudomanifold,
@@ -52,7 +51,7 @@ from .errors import (
     ParseError,
     ZeroDimensional,
 )
-from .matroid import decompose_into_circlets, require_circlet, validate_decomposition
+from .matroid import decompose_into_circlets, require_circlet
 
 __all__ = [
     "CoverMap",
@@ -305,7 +304,8 @@ def euler_cover(
     own step. One build of the folded gluing gives the merge chain's cover.
     Connectivity is read off the fold: a dual component of an even set is
     even, so each circlet is one, and the walk reaches them all exactly
-    when ``k`` is strongly connected.
+    when ``k`` is strongly connected. The parts are the peel's fundamental
+    circuits, circlets by construction, so none is checked again here.
     """
     _rng(strategy, seed)  # an unknown strategy fails before any work
     profile = degree_profile(k)
@@ -315,11 +315,7 @@ def euler_cover(
         raise NotEven("cover needs every side degree positive and even")
 
     # parts by rank, so the smallest index is the lexicographically first
-    parts = sorted(tuple(p) for p in decompose_into_circlets(k).parts)
-    report = validate_decomposition(k, parts)  # reuses decompose's matrix
-    if not report.passed:
-        raise NotCirclet(report.violations[0].message)
-
+    parts = sorted(decompose_into_circlets(k).parts)
     part_of = {f: i for i, p in enumerate(parts) for f in p}
     # breadth-first, the list its own queue: each circlet is folded in as
     # it is dequeued, so one folded before it shares a side with it

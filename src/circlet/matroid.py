@@ -70,17 +70,14 @@ class IncidenceMatrixGF2:
 
 
 def incidence_matrix(k: Complex) -> IncidenceMatrixGF2:
-    """The side/facet incidence matrix of a complex of dim >= 1, kept on k."""
+    """The side/facet incidence matrix of a complex of dim >= 1, built afresh."""
     if k.dim == 0:
         raise ZeroDimensional("0-dimensional complexes have no sides")
-    if (cached := k._kept.get("incidence")) is not None:
-        return cached
     sides, facets = k.sides, k.facets
     bit = {s: 1 << i for i, s in enumerate(sides)}
     # a boundary names each side once, so the sum of its bits is their OR
     columns = tuple(sum(bit[s] for s in k.boundary(f)) for f in facets)
-    m = k._kept["incidence"] = IncidenceMatrixGF2(sides, facets, columns)
-    return m
+    return IncidenceMatrixGF2(sides, facets, columns)
 
 
 def is_even_subset(m: IncidenceMatrixGF2, facet_ids: Iterable[str]) -> bool:

@@ -372,6 +372,23 @@ def test_unwritable_output_exits_2(capsys, tmp_path, cube_file, command, into):
     assert "Traceback" not in err and err.startswith("error: OutputError")
 
 
+@pytest.mark.parametrize("into", ["stdout", "file"])
+def test_unencodable_output_exits_2(capsys, tmp_path, cube, into):
+    # a lone surrogate loads from JSON's escape, and DOT writes ids raw
+    path = tmp_path / "cube.json"
+    serialize.save_complex(builders.renamed(cube, cube.facets[0], "\ud800"), path)
+    target = tmp_path / "dual.dot"
+    extra = ["-o", str(target)] if into == "file" else []
+    code, out, err = run(capsys, "export-dual", str(path), *extra)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "OutputError"
+    name = target if extra else "stdout"
+    assert doc["message"].startswith(f"cannot write {name}: ")
+    assert "Traceback" not in err and err.startswith("error: OutputError")
+    assert not target.exists()
+
+
 # ---- errors raised inside a check -------------------------------------
 
 

@@ -29,6 +29,7 @@ from circlet.errors import (
     RankOutOfRange,
     ZeroDimensional,
 )
+from circlet.families import simplex_skeleton
 
 
 def labeled_cycle(n, tag, share=None):
@@ -113,8 +114,8 @@ def test_complex_is_immutable(tetra):
 
 def test_every_slot_is_set_by_construction(tetra, delta52):
     # construction sets all five slots: the dimension, three tables and
-    # _kept, where everything derived is kept on first ask; a slot left
-    # unset would raise AttributeError on first read
+    # _kept, where side degrees, closures and the decomposition are kept
+    # on first ask; a slot left unset would raise AttributeError on first read
     assert len(Complex.__slots__) == 5
     for k in (tetra, delta52, build_complex([cell("a", 0)])):
         for name in Complex.__slots__:
@@ -190,6 +191,10 @@ def test_side_degrees(delta52, cube, c34):
     assert set(delta52.side_degrees.values()) == {4}
     assert set(cube.side_degrees.values()) == {2}
     assert delta52.side_degrees is delta52.side_degrees  # kept on first read
+    k = simplex_skeleton(4, 2)
+    with pytest.raises(TypeError):
+        k.side_degrees["1-2"] = 3
+    assert degree_profile(k).is_even
     hist = degree_profile(c34).histogram()
     assert hist == {2: 24, 4: 3}
 

@@ -5,7 +5,6 @@ import pytest
 
 import builders
 from circlet import (
-    CircletDecomposition,
     CircletError,
     CoverMap,
     build_glued_complex,
@@ -453,41 +452,6 @@ def test_euler_cover_rejections(delta42):
     with pytest.raises(BadParameters) as exc:
         euler_cover(twice, strategy="shuffled")
     assert str(exc.value) == "unknown strategy 'shuffled'"
-
-
-def _adjacent_parts(k):
-    """The circlets of k, and the first two (in peel order) sharing a side."""
-    parts = list(decompose_into_circlets(k).parts)
-    sides = [set().union(*(k.boundary(f) for f in p)) for p in parts]
-    for j in range(1, len(parts)):
-        for i in range(j):
-            if sides[i] & sides[j]:
-                return parts, i, j
-    raise AssertionError("no two circlets share a side")
-
-
-@pytest.mark.parametrize("damage", ["merge", "split", "whole"])
-def test_euler_cover_checks_every_part(monkeypatch, damage):
-    # two adjacent circlets as one part is even but not minimal, and so is
-    # the whole complex as a single part; a circlet split in two gives two
-    # parts that are not even
-    k = random_even(1, 6)
-    parts, i, j = _adjacent_parts(k)
-    if damage == "merge":
-        bad = [tuple(sorted(parts[i] + parts[j]))]
-        bad += [p for n, p in enumerate(parts) if n not in (i, j)]
-    elif damage == "split":
-        bad = [parts[i][:1], parts[i][1:]]
-        bad += [p for n, p in enumerate(parts) if n != i]
-    else:
-        bad = [tuple(sorted(k.facets))]
-    monkeypatch.setattr(
-        covers, "decompose_into_circlets", lambda _: CircletDecomposition(tuple(bad))
-    )
-    with pytest.raises(NotCirclet):
-        euler_cover(k)
-    with pytest.raises(NotCirclet):
-        euler_cover(k, strategy="seeded", seed=3)
 
 
 def test_euler_cover_rejects_unknown_strategy(delta42):

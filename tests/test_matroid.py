@@ -94,12 +94,6 @@ def built_matrices(monkeypatch):
     return built
 
 
-def test_one_incidence_matrix_per_complex(built_matrices):
-    k = random_even(1, 5)  # fresh: nothing kept on it yet
-    assert incidence_matrix(k) is incidence_matrix(k)
-    assert len(built_matrices) == 1
-
-
 def test_cover_builds_one_incidence_matrix(built_matrices):
     euler_cover(random_even(1, 5))
     assert len(built_matrices) == 1
@@ -110,7 +104,6 @@ def test_cover_reuses_the_decomposition_matrix(built_matrices):
     decompose_into_circlets(k)
     euler_cover(k)
     assert len(built_matrices) == 1
-    assert built_matrices[0] is incidence_matrix(k)
 
 
 @pytest.fixture
@@ -126,14 +119,25 @@ def dropped_columns(monkeypatch):
     return dropped
 
 
-def test_cover_reuses_the_kept_decomposition(dropped_columns):
+def test_cover_reuses_the_kept_decomposition(
+    monkeypatch, dropped_columns, built_matrices
+):
+    scans, real_scan = [], gf2.scan
+
+    def scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(gf2, "scan", scan)
     k = random_even(2, 5)
     kept = decompose_into_circlets(k)
-    assert dropped_columns  # the first call peels
-    dropped_columns.clear()
+    assert dropped_columns and scans and built_matrices  # the first call peels
+    for spied in (dropped_columns, scans, built_matrices):
+        spied.clear()
     assert decompose_into_circlets(k) is kept
     cover = euler_cover(k)
-    assert dropped_columns == []
+    # neither peels again nor re-proves a part: no scan, no matrix
+    assert dropped_columns == scans == built_matrices == []
     fresh = euler_cover(Complex(k))
     assert dropped_columns  # a copy keeps nothing and peels again
     assert serialize.dumps(serialize.cover_to_dict(cover)) == serialize.dumps(
