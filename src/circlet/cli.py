@@ -125,7 +125,7 @@ def cmd_decompose(k: Complex, args: argparse.Namespace) -> Result:
 
 
 def cmd_cover(k: Complex, args: argparse.Namespace) -> Result:
-    cover = euler_cover(k, strategy=args.strategy, seed=args.seed)
+    cover = euler_cover(k, seed=args.seed)
     m = cover.source
     summary = (
         f"cover source: {len(m.facets)} facets, {len(m.sides)} sides, "
@@ -188,10 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(load=load, run=run)
         if load is not _generate:  # every other loader reads a file
             p.add_argument("input")
-    commands["cover"].add_argument(
-        "--strategy", choices=("canonical", "seeded"), default="canonical"
-    )
-    commands["cover"].add_argument("--seed", type=int, default=0)
+    commands["cover"].add_argument("--seed", type=int)
     commands["generate"].add_argument("family", choices=sorted(FAMILIES))
     commands["generate"].add_argument("params", nargs="*", type=int)
     for name in ("decompose", "cover", "generate", "export-dual"):

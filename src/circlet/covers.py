@@ -37,7 +37,6 @@ from .complexes import (
     strong_components,
 )
 from .errors import (
-    BadParameters,
     DualNotSimple,
     GluingMismatch,
     InvalidCover,
@@ -91,13 +90,6 @@ def _natural_key(cell_id: str) -> tuple:
 _Gluing = dict[str, Sequence[tuple[str, str]]]
 
 
-def _rng(strategy: str, seed: int) -> random.Random | None:
-    """The shuffling RNG of a gluing strategy: None for ``canonical``."""
-    if strategy not in ("canonical", "seeded"):
-        raise BadParameters(f"unknown strategy {strategy!r}")
-    return random.Random(seed) if strategy == "seeded" else None
-
-
 def _pair_up(over: list[str], rng: random.Random | None) -> list[tuple[str, str]]:
     """Consecutive facets as sorted pairs; shuffles ``over`` first if rng is set."""
     if rng is not None:
@@ -105,16 +97,14 @@ def _pair_up(over: list[str], rng: random.Random | None) -> list[tuple[str, str]
     return [(a, b) if a < b else (b, a) for a, b in zip(over[::2], over[1::2])]
 
 
-def canonical_gluing(
-    k: Complex, strategy: str = "canonical", seed: int = 0
-) -> _Gluing:
+def canonical_gluing(k: Complex, *, seed: int | None = None) -> _Gluing:
     """Pair the facets around every side of an even complex.
 
-    ``canonical`` pairs consecutive facets in id order; ``seeded``
+    With no seed, consecutive facets in id order are paired; a seed
     shuffles each side's facet list first with one RNG seeded once, sides
-    visited in id order, so a seed fully determines the result.
+    visited in id order, so the seed fully determines the result.
     """
-    rng = _rng(strategy, seed)
+    rng = None if seed is None else random.Random(seed)
     profile = degree_profile(k)
     if not profile.is_even:
         raise NotEven("gluing needs every side degree positive and even")
@@ -193,12 +183,10 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     return CoverMap(source=build_complex(cells), target=k, cell_map=cell_map)
 
 
-def cover_circlet(
-    c: Complex, strategy: str = "canonical", seed: int = 0
-) -> CoverMap:
+def cover_circlet(c: Complex, *, seed: int | None = None) -> CoverMap:
     """A pseudomanifold cover of a single circlet."""
     require_circlet(c)
-    return build_glued_complex(c, canonical_gluing(c, strategy=strategy, seed=seed))
+    return build_glued_complex(c, canonical_gluing(c, seed=seed))
 
 
 # ---- reading a gluing back off a cover -------------------------------
@@ -290,15 +278,14 @@ def merge_covers(
 # ---- the main construction -------------------------------------------
 
 
-def euler_cover(
-    k: Complex, strategy: str = "canonical", seed: int = 0
-) -> CoverMap:
+def euler_cover(k: Complex, *, seed: int | None = None) -> CoverMap:
     """A pseudomanifold cover of a strongly connected even complex.
 
     Decomposes into circlets and folds their gluings, read straight off
     ``k``, in breadth-first order over the circlet adjacency graph (shared
     sides), circlets taken in lexicographic order: each pairs its facets
-    per side as :func:`canonical_gluing` on it alone would, the pair lists
+    per side as :func:`canonical_gluing` with the same seed would on it
+    alone, so a seed shuffles with a fresh RNG per circlet; the pair lists
     are concatenated per side, and each circlet is re-paired with those
     before it at the smallest side they share, with :func:`merge_covers`'
     own step. One build of the folded gluing gives the merge chain's cover.
@@ -307,7 +294,6 @@ def euler_cover(
     when ``k`` is strongly connected. The parts are the peel's fundamental
     circuits, circlets by construction, so none is checked again here.
     """
-    _rng(strategy, seed)  # an unknown strategy fails before any work
     profile = degree_profile(k)
     if not profile.is_pure:
         raise NotPure("cover needs a pure complex")
@@ -322,7 +308,7 @@ def euler_cover(
     pairs: dict[str, list[tuple[str, str]]] = {}
     fold_order, seen = [0], {0}
     for i in fold_order:
-        rng = _rng(strategy, seed)
+        rng = None if seed is None else random.Random(seed)
         over: dict[str, list[str]] = {}  # side -> the part's facets over it
         for f in parts[i]:  # in id order, so each list is too
             for s in k.boundary(f):

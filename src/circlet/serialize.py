@@ -175,7 +175,7 @@ def complex_from_dict(doc: Any) -> Complex:
     try:
         dimension = doc["dimension"]
         raw_cells = doc["cells"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"complex document missing key: {exc}") from exc
     if (
         not isinstance(dimension, int)
@@ -200,7 +200,13 @@ def complex_from_dict(doc: Any) -> Complex:
             or not all(map(is_str, boundary))
         ):
             raise ParseError(f"bad cell entry for id {cid!r}")
-        append(new(Cell, (cid, dim, frozenset(boundary))))
+        faces = frozenset(boundary)
+        if len(faces) < len(boundary):  # over one face twice: not regular
+            twice = min(b for b in faces if boundary.count(b) > 1)
+            raise ParseError(
+                f"cell {cid!r} lists {twice!r} more than once in its boundary"
+            )
+        append(new(Cell, (cid, dim, faces)))
     k = build_complex(cells)
     if k.dim != dimension:
         raise ParseError(

@@ -397,7 +397,7 @@ def validate_by_extraction(k: Complex, parts) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
-def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
+def fold_by_merges(k: Complex, *, seed=None) -> CoverMap:
     """A cover as a chain of merge_covers calls, one per circlet after the first.
 
     Circlets are covered one by one and merged in breadth-first order over
@@ -406,7 +406,7 @@ def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
     """
     parts = decompose_by_deletion(k)
     if len(parts) == 1:
-        return cover_circlet(k, strategy=strategy, seed=seed)
+        return cover_circlet(k, seed=seed)
     subs = [induced_subcomplex(k, p) for p in parts]
     order = sorted(range(len(parts)), key=lambda i: parts[i])
     fold = [order[0]]
@@ -417,16 +417,16 @@ def fold_by_merges(k: Complex, strategy="canonical", seed=0) -> CoverMap:
             if j not in fold and set(subs[i].sides) & set(subs[j].sides):
                 fold.append(j)
                 queue.append(j)
-    cover = cover_circlet(subs[fold[0]], strategy=strategy, seed=seed)
+    cover = cover_circlet(subs[fold[0]], seed=seed)
     for i in fold[1:]:
-        nxt = cover_circlet(subs[i], strategy=strategy, seed=seed)
+        nxt = cover_circlet(subs[i], seed=seed)
         shared = sorted(set(cover.target.sides) & set(subs[i].sides))
         cover = merge_covers(cover, nxt, shared[0])
     assert set(cover.target.facets) == set(k.facets)
     return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)
 
 
-def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
+def fold_by_subcomplexes(k: Complex, *, seed=None) -> CoverMap:
     """A cover folded from one induced subcomplex and gluing per circlet.
 
     Each circlet becomes its own complex, checked by require_circlet and
@@ -437,7 +437,7 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
     """
     parts = [tuple(p) for p in decompose_into_circlets(k).parts]
     if len(parts) == 1:
-        return cover_circlet(k, strategy=strategy, seed=seed)
+        return cover_circlet(k, seed=seed)
     subs = [induced_subcomplex(k, p) for p in parts]
     side_sets = [set(sub.sides) for sub in subs]
     order = sorted(range(len(parts)), key=parts.__getitem__)
@@ -450,7 +450,7 @@ def fold_by_subcomplexes(k: Complex, strategy="canonical", seed=0) -> CoverMap:
     pairs: dict[str, list[tuple[str, str]]] = {}
     for i in fold:
         require_circlet(subs[i])
-        g = canonical_gluing(subs[i], strategy=strategy, seed=seed)
+        g = canonical_gluing(subs[i], seed=seed)
         piece = {s: list(p) for s, p in g.items()}
         if pairs:
             shared = min(side_sets[i].intersection(pairs))

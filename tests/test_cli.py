@@ -268,11 +268,29 @@ def test_cover_seeded_deterministic(capsys, tmp_path):
     # degree-4 spine edges give the seed real pairing choices
     path = tmp_path / "c34.json"
     run(capsys, "generate", "finned_circlet", "3", "4", "-o", str(path))
-    _, out1, _ = run(capsys, "cover", str(path), "--strategy", "seeded", "--seed", "5")
-    _, out2, _ = run(capsys, "cover", str(path), "--strategy", "seeded", "--seed", "5")
-    _, out3, _ = run(capsys, "cover", str(path), "--strategy", "seeded", "--seed", "6")
+    _, out1, _ = run(capsys, "cover", str(path), "--seed", "5")
+    _, out2, _ = run(capsys, "cover", str(path), "--seed", "5")
+    _, out3, _ = run(capsys, "cover", str(path), "--seed", "6")
+    _, default, _ = run(capsys, "cover", str(path))
     assert out1 == out2
-    assert out1 != out3
+    # a seed alone selects a seeded cover, each seed its own
+    assert len({out1, out3, default}) == 3
+
+
+def test_cover_has_no_strategy_option(capsys, delta52_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", delta52_file, "--strategy", "seeded", "--seed", "7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --strategy seeded" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--seed" in help_text and "-o OUTPUT" in help_text
+    assert "--strategy" not in help_text
 
 
 # ---- tour -------------------------------------------------------------
@@ -333,9 +351,9 @@ def test_shared_parser_matches_fresh_processes(
 ):
     # one process: a rejected argv, then good calls whose options differ
     calls = [
-        ("cover", delta52_file, "--strategy", "bogus"),
+        ("cover", delta52_file, "--seed", "bogus"),
         ("analyze", delta52_file),
-        ("cover", delta52_file, "--strategy", "seeded", "--seed", "7"),
+        ("cover", delta52_file, "--seed", "7"),
         ("cover", delta52_file),
         ("tour", cube_file),
     ]

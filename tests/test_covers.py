@@ -22,7 +22,6 @@ from circlet import (
 )
 from circlet.complexes import build_complex, degree_profile
 from circlet.errors import (
-    BadParameters,
     DualNotSimple,
     GluingMismatch,
     InvalidCover,
@@ -84,16 +83,22 @@ def test_canonical_gluing_pairs_consecutive(delta52):
 
 
 def test_seeded_gluing_deterministic(delta52):
-    a = canonical_gluing(delta52, "seeded", 7)
-    b = canonical_gluing(delta52, "seeded", 7)
-    c = canonical_gluing(delta52, "seeded", 8)
+    a = canonical_gluing(delta52, seed=7)
+    b = canonical_gluing(delta52, seed=7)
+    c = canonical_gluing(delta52, seed=8)
     assert a == b
     assert a != c
 
 
 def test_gluing_rejects_unknown_strategy(delta52):
-    with pytest.raises(BadParameters):
+    # random.Random takes a str seed, so only a keyword-only seed keeps a
+    # stale positional strategy name from becoming one
+    with pytest.raises(TypeError):
         canonical_gluing(delta52, "zigzag")
+    with pytest.raises(TypeError):
+        canonical_gluing(delta52, strategy="seeded")
+    with pytest.raises(TypeError):
+        cover_circlet(delta52, 7)
 
 
 def test_gluing_rejects_uneven(delta42):
@@ -230,15 +235,15 @@ def test_cover_circlet_rejects_decomposable(delta52):
 
 def test_gluing_round_trip(delta52, octahedron, cube):
     for k in (delta52, octahedron, cube):
-        for strategy, seed in (("canonical", 0), ("seeded", 3), ("seeded", 11)):
-            g = canonical_gluing(k, strategy, seed)
+        for seed in (None, 3, 11):
+            g = canonical_gluing(k, seed=seed)
             assert gluing_from_cover(build_glued_complex(k, g)) == g
 
 
 def test_gluing_round_trip_keeps_copy_order():
     # spine sides of degree 24 get copies #1..#12, where "#10" < "#2" as text
     k = finned_circlet(3, 24)
-    g = canonical_gluing(k, "seeded", 5)
+    g = canonical_gluing(k, seed=5)
     assert gluing_from_cover(build_glued_complex(k, g)) == g
     # digit runs past int()'s default 4300-digit limit still compare
     vertices = ["v" + "1" * 5000 + str(i) for i in range(3)]
@@ -397,19 +402,19 @@ def test_euler_cover_on_single_circlet_matches(octahedron):
 
 def test_euler_cover_seeded(delta52, c34):
     for seed in range(4):
-        cover = euler_cover(delta52, strategy="seeded", seed=seed)
+        cover = euler_cover(delta52, seed=seed)
         assert verify_cover(cover).passed
         assert_pseudomanifold(cover.source)
-    again = euler_cover(delta52, strategy="seeded", seed=2)
-    assert again.source == euler_cover(delta52, strategy="seeded", seed=2).source
+    again = euler_cover(delta52, seed=2)
+    assert again.source == euler_cover(delta52, seed=2).source
 
 
 def test_euler_cover_seed_matters_on_thick_sides(c34):
     # inside each circlet of delta52 every side has degree two, so seeds
     # cannot change anything there; the finned circlet's spine edges have
     # degree four and really give the seed a choice
-    a = euler_cover(c34, strategy="seeded", seed=5)
-    b = euler_cover(c34, strategy="seeded", seed=6)
+    a = euler_cover(c34, seed=5)
+    b = euler_cover(c34, seed=6)
     # the id scheme keeps the map itself stable; the attachments move
     assert dict(a.cell_map) == dict(b.cell_map)
     assert a.source != b.source
@@ -444,28 +449,19 @@ def test_euler_cover_rejections(delta42):
         [c for tag in "ab" for c in builders.relabeled(k, lambda cid: tag + cid)]
     )
     assert len(decompose_into_circlets(twice).parts) == 6
-    for strategy in ("canonical", "seeded"):
+    for seed in (None, 3):
         with pytest.raises(NotStronglyConnected) as exc:
-            euler_cover(twice, strategy=strategy, seed=3)
+            euler_cover(twice, seed=seed)
         assert str(exc.value) == "cover needs one dual component"
-    # the strategy is read as the fold starts, before connectivity is known
-    with pytest.raises(BadParameters) as exc:
-        euler_cover(twice, strategy="shuffled")
-    assert str(exc.value) == "unknown strategy 'shuffled'"
 
 
-def test_euler_cover_rejects_unknown_strategy(delta42):
-    with pytest.raises(BadParameters):
-        euler_cover(random_even(1, 4), strategy="shuffled")
-    with pytest.raises(BadParameters):
-        euler_cover(simplex_skeleton(4, 2), strategy="shuffled")
-    # the strategy is checked before evenness and before any decomposition
-    with pytest.raises(BadParameters):
-        euler_cover(delta42, strategy="shuffled")
-    k = random_even(1, 640)
-    with pytest.raises(BadParameters):
-        euler_cover(k, strategy="shuffled")
-    assert "decomposition" not in k._kept
+def test_euler_cover_rejects_unknown_strategy(delta52):
+    with pytest.raises(TypeError):
+        euler_cover(delta52, 7)
+    with pytest.raises(TypeError):
+        euler_cover(delta52, "seeded")
+    with pytest.raises(TypeError):
+        euler_cover(delta52, strategy="seeded")
 
 
 @pytest.mark.parametrize("clash", ["1-2#1", "1-2-3^"])

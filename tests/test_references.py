@@ -72,7 +72,9 @@ from circlet.families import (
 )
 from circlet.serialize import cover_to_dict
 
-STRATEGIES = [("canonical", 0), ("seeded", 3), ("seeded", 7)]
+# no seed (the canonical pairing in id order), then two seeds
+SEEDS = [None, 3, 7]
+SEED_IDS = ["canonical-0", "seeded-3", "seeded-7"]
 
 
 LOOKUP_CASES = {
@@ -313,14 +315,14 @@ def test_extract_circlet_matches_shrink_on_every_even_set(make):
 # ---- decompositions and covers ----------------------------------------
 
 
-def assert_matches_references(k, strategy, seed):
+def assert_matches_references(k, seed):
     parts = decompose_into_circlets(k).parts
     assert parts == oracles.decompose_by_deletion(k)
-    got = cover_to_dict(euler_cover(k, strategy, seed))
-    assert got == cover_to_dict(oracles.fold_by_merges(k, strategy, seed))
+    got = cover_to_dict(euler_cover(k, seed=seed))
+    assert got == cover_to_dict(oracles.fold_by_merges(k, seed=seed))
     # fold_by_merges shares merge_covers' step with euler_cover; this one
     # re-pairs and concatenates with its own code
-    assert got == cover_to_dict(oracles.fold_by_subcomplexes(k, strategy, seed))
+    assert got == cover_to_dict(oracles.fold_by_subcomplexes(k, seed=seed))
 
 
 def test_many_small_circlets_match_deletion():
@@ -414,25 +416,25 @@ def test_part_checks_match_extraction(case):
         assert validate_decomposition(k, p) == oracles.validate_by_extraction(k, p)
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(0, 10**6), size=st.integers(1, 12))
-def test_random_even_matches_references(strategy, seed, n, size):
-    assert_matches_references(random_even(n, size), strategy, seed)
+def test_random_even_matches_references(seed, n, size):
+    assert_matches_references(random_even(n, size), seed)
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(0, 10**6))
-def test_random_even_multigraph_matches_references(strategy, seed, n):
-    assert_matches_references(random_even_multigraph(n), strategy, seed)
+def test_random_even_multigraph_matches_references(seed, n):
+    assert_matches_references(random_even_multigraph(n), seed)
 
 
 # circlets in the skeletons share several sides with those folded before
 # them, so the choice of the smallest shared side is exercised; in the
 # finned chain each circlet has sides under four of its own facets, so a
 # seeded pairing depends on each circlet's own shuffle
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @pytest.mark.parametrize(
     "make",
     [
@@ -452,8 +454,8 @@ def test_random_even_multigraph_matches_references(strategy, seed, n):
         "finned_chain3",
     ],
 )
-def test_skeletons_match_references(make, strategy, seed):
-    assert_matches_references(make(), strategy, seed)
+def test_skeletons_match_references(make, seed):
+    assert_matches_references(make(), seed)
 
 
 # fold_by_merges rebuilds the union per circlet, too slow at these sizes
@@ -469,12 +471,12 @@ FOLD_SIZE_CASES = {
 }
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @pytest.mark.parametrize("case", sorted(FOLD_SIZE_CASES))
-def test_fold_sizes_match_subcomplex_fold(case, strategy, seed):
+def test_fold_sizes_match_subcomplex_fold(case, seed):
     k = FOLD_SIZE_CASES[case]()
-    assert cover_to_dict(euler_cover(k, strategy, seed)) == cover_to_dict(
-        oracles.fold_by_subcomplexes(k, strategy, seed)
+    assert cover_to_dict(euler_cover(k, seed=seed)) == cover_to_dict(
+        oracles.fold_by_subcomplexes(k, seed=seed)
     )
 
 
@@ -496,9 +498,9 @@ def test_random_boundaries_match_references(v, d, p):
             parts = decompose_into_circlets(k).parts
             assert {frozenset(q) for q in parts} <= minimal
             assert sorted(f for q in parts for f in q) == sorted(k.facets)
-        for strategy, s in STRATEGIES:
-            assert_matches_references(k, strategy, s)
-            assert_verify_matches_links(euler_cover(k, strategy, s), seed)
+        for s in SEEDS:
+            assert_matches_references(k, s)
+            assert_verify_matches_links(euler_cover(k, seed=s), seed)
 
 
 def test_disconnected_boundary_has_no_cover():
@@ -542,7 +544,7 @@ def assert_glued_builds_agree(k, g):
     assert cover.target is k
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(0, 10**6),
@@ -550,13 +552,13 @@ def assert_glued_builds_agree(k, g):
     rename=st.booleans(),
     rng=st.randoms(),
 )
-def test_glued_build_matches_copy_map(strategy, seed, n, size, rename, rng):
+def test_glued_build_matches_copy_map(seed, n, size, rename, rng):
     k = random_even(n, size)
     if rename:
         k = awkwardly_renamed(k, rng)
     # one pairing of the whole complex, and the fold over its circlets
-    assert_glued_builds_agree(k, canonical_gluing(k, strategy, seed))
-    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, strategy, seed)))
+    assert_glued_builds_agree(k, canonical_gluing(k, seed=seed))
+    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, seed=seed)))
 
 
 GLUED_CASES = {
@@ -572,15 +574,15 @@ GLUED_CASES = {
 }
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @pytest.mark.parametrize("rename", [False, True])
 @pytest.mark.parametrize("case", sorted(GLUED_CASES))
-def test_glued_cases_match_copy_map(case, rename, strategy, seed):
+def test_glued_cases_match_copy_map(case, rename, seed):
     k = GLUED_CASES[case]()
     if rename:
-        k = awkwardly_renamed(k, random.Random(seed))
-    assert_glued_builds_agree(k, canonical_gluing(k, strategy, seed))
-    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, strategy, seed)))
+        k = awkwardly_renamed(k, random.Random(seed or 0))
+    assert_glued_builds_agree(k, canonical_gluing(k, seed=seed))
+    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, seed=seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -656,19 +658,19 @@ def assert_verify_matches_links(cover, seed):
         assert verify_cover(c) == oracles.verify_by_links(c)
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(0, 10**6), size=st.integers(1, 12))
-def test_random_even_verify_matches_links(strategy, seed, n, size):
-    assert_verify_matches_links(euler_cover(random_even(n, size), strategy, seed), n)
+def test_random_even_verify_matches_links(seed, n, size):
+    assert_verify_matches_links(euler_cover(random_even(n, size), seed=seed), n)
 
 
-@pytest.mark.parametrize("strategy, seed", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(0, 10**6))
-def test_random_even_multigraph_verify_matches_links(strategy, seed, n):
+def test_random_even_multigraph_verify_matches_links(seed, n):
     k = random_even_multigraph(n)
-    assert_verify_matches_links(euler_cover(k, strategy, seed), n)
+    assert_verify_matches_links(euler_cover(k, seed=seed), n)
 
 
 VERIFY_CASES = {
@@ -686,8 +688,8 @@ VERIFY_CASES = {
 @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
 def test_skeleton_verify_matches_links(case):
     k = VERIFY_CASES[case]()
-    for strategy, seed in STRATEGIES:
-        assert_verify_matches_links(euler_cover(k, strategy, seed), seed)
+    for seed in SEEDS:
+        assert_verify_matches_links(euler_cover(k, seed=seed), seed or 0)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -158,6 +158,26 @@ def test_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         serialize.load_complex(bad)
+    # a boundary naming an id twice: a set would drop the repeat and load
+    # a digon or a plain edge
+    digon = [
+        {"id": "a", "dim": 0, "boundary": []},
+        {"id": "b", "dim": 0, "boundary": []},
+        {"id": "e", "dim": 1, "boundary": ["a", "b"]},
+        {"id": "g", "dim": 1, "boundary": ["b", "a"]},
+    ]
+    for repeat, message in (
+        ({"id": "f", "dim": 2, "boundary": ["g", "e", "g", "e"]}, "'f' lists 'e'"),
+        ({"id": "x", "dim": 1, "boundary": ["a", "b", "b"]}, "'x' lists 'b'"),
+    ):
+        doc = {"dimension": repeat["dim"], "cells": [*digon, repeat]}
+        with pytest.raises(ParseError, match=message):
+            serialize.complex_from_dict(doc)
+    # a cover whose source holds such a cell fails to load too
+    doc = serialize.cover_to_dict(cover_circlet(cycle(4)))
+    doc["source"]["cells"][-1]["boundary"] *= 2
+    with pytest.raises(ParseError, match="more than once in its boundary"):
+        serialize.cover_from_dict(doc)
 
 
 def test_boolean_dimensions_rejected(tetra):
@@ -267,13 +287,13 @@ COMPLEXES = st.builds(
     k=COMPLEXES,
     rng=st.randoms(),
     rename=st.booleans(),
-    strategy=st.sampled_from([("canonical", 0), ("seeded", 3), ("seeded", 7)]),
+    seed=st.sampled_from([None, 3, 7]),
 )
-def test_emitters_match_the_reference(k, rng, rename, strategy):
+def test_emitters_match_the_reference(k, rng, rename, seed):
     if rename:
         k = awkward_ids(k, rng)
     assert serialize.complex_json(k) == serialize.dumps(serialize.complex_to_dict(k))
-    cover = euler_cover(k, *strategy)
+    cover = euler_cover(k, seed=seed)
     expected = serialize.dumps(serialize.cover_to_dict(cover))
     assert serialize.cover_json(cover) == expected
 
