@@ -13,7 +13,7 @@ from . import complexes, covers, matroid
 from .complexes import *
 from .covers import *
 from .errors import CircletError
-from .families import FamilySpec, generate
+from .families import generate
 from .matroid import *
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ __all__ = [
     *complexes.__all__,
     *matroid.__all__,
     *covers.__all__,
-    "FamilySpec",
     "generate",
     "CircletError",
 ]

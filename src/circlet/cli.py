@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .covers import CoverMap, euler_cover, side_tour, verify_cover
 from .errors import CircletError, OutputError, ParseError
-from .families import FAMILIES, FamilySpec, generate
+from .families import FAMILIES, generate
 from .matroid import decompose_into_circlets
 
 __all__ = ["main"]
@@ -74,7 +74,7 @@ def _read_cover(args: argparse.Namespace) -> CoverMap:
 
 
 def _generate(args: argparse.Namespace) -> Complex:
-    return generate(FamilySpec(family=args.family, params=tuple(args.params)))
+    return generate(args.family, args.params)
 
 
 # ---- handlers ----------------------------------------------------------

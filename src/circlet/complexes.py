@@ -3,10 +3,10 @@
 A complex is stored through its covering relation: each cell lists the ids
 of the cells one dimension down on its boundary sphere. Construction builds
 three tables: the cells by id, the ids per dimension, and the coface map
-(the same relation read upward). Everything else, side degrees and
-closures included, is computed on first request and kept; a Complex never
-changes, so instances are safe to share and every query gives the same
-answer twice.
+(the same relation read upward). Side degrees and the decomposition are
+computed on first request and kept, the rest on every request; a Complex
+never changes, so instances are safe to share and every query gives the
+same answer twice.
 
 Vocabulary used throughout: with n the dimension of the complex, *facets*
 are the n-cells, *sides* the (n-1)-cells, *corners* the (n-2)-cells. The
@@ -34,7 +34,6 @@ from .errors import (
     NonRegularEdge,
     NotAFacet,
     NotPure,
-    RankOutOfRange,
     ZeroDimensional,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_regularity",
-    "skeleton",
     "induced_subcomplex",
     "DegreeProfile",
     "degree_profile",
@@ -96,11 +94,10 @@ class Complex:
     the ids per dimension, and the coface map, the boundary relation
     inverted (cell -> the cells one dimension up, sorted). Purity, side
     degrees, :meth:`facets_over` and :func:`corner_link` read the coface
-    map, never scanning. The side degrees (as a read-only view), the
-    closures and the circlet decomposition
-    (:func:`circlet.matroid.decompose_into_circlets`) are kept once asked
-    for, each by its producer under its own key of ``_kept``; nothing else
-    is kept.
+    map, never scanning. The side degrees (as a read-only view) and the
+    circlet decomposition (:func:`circlet.matroid.decompose_into_circlets`)
+    are kept once asked for, each by its producer under its own key of
+    ``_kept``; nothing else is kept.
 
     Construct through :func:`build_complex` (or directly, same thing).
     Cell ids are opaque strings; every tie anywhere in the library is
@@ -192,15 +189,16 @@ class Complex:
         return self._cells[cell_id].boundary
 
     def closure(self, cell_id: str) -> frozenset[str]:
-        """All cells under cell_id, itself included; memoized per cell."""
-        memo = self._kept.setdefault("closure", {})
-        got = memo.get(cell_id)
-        if got is None:
-            acc = {cell_id}
-            for b in self._cells[cell_id].boundary:
-                acc |= self.closure(b)
-            got = memo[cell_id] = frozenset(acc)
-        return got
+        """All cells under cell_id, itself included; computed on each call."""
+        cells = self._cells
+        seen = {cell_id}
+        todo = [cell_id]
+        while todo:
+            for b in cells[todo.pop()][2]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        return frozenset(seen)
 
     def cells_of_dim(self, r: int) -> tuple[str, ...]:
         if 0 <= r <= self.dim:
@@ -333,16 +331,6 @@ def validate_regularity(k: Complex) -> ValidationReport:
 
 
 # ---- subcomplex constructions ----------------------------------------
-
-
-def skeleton(k: Complex, r: int) -> Complex:
-    """The subcomplex of all cells of dimension at most r."""
-    if not 0 <= r <= k.dim:
-        raise RankOutOfRange(f"rank {r} outside [0, {k.dim}]")
-    if r == k.dim:
-        return k
-    kept = [k.cell(cid) for s in range(r + 1) for cid in k.cells_of_dim(s)]
-    return Complex(kept)
 
 
 def induced_subcomplex(k: Complex, facet_ids: Iterable[str]) -> Complex:

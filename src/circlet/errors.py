@@ -18,7 +18,6 @@ __all__ = [
     "EmptyBoundary",
     "DuplicateCellId",
     "EmptyComplex",
-    "RankOutOfRange",
     "EmptyFacetSet",
     "NotAFacet",
     "ZeroDimensional",
@@ -71,10 +70,6 @@ class EmptyComplex(CircletError):
 
 
 # structural query errors
-
-class RankOutOfRange(CircletError):
-    """Requested skeleton rank is negative or above the dimension."""
-
 
 class EmptyFacetSet(CircletError):
     """An operation needs at least one facet."""

@@ -1,23 +1,24 @@
 """Deterministic generator families for fixtures, demos and benchmarks.
 
 Every generator returns a freshly built Complex with stable ids, so two
-calls with equal parameters produce byte-identical serializations. The
-random families draw from one seeded RNG and are reproducible the same
-way.
+calls with equal parameters produce byte-identical serializations, and
+refuses parameters that would build more than 10^6 cells. The random
+families draw from one seeded RNG and are reproducible the same way.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
-from dataclasses import dataclass
+from math import comb
+from typing import Iterable, Sequence
 
 from .complexes import Cell, Complex, build_complex, cell
 from .errors import BadParameters
 
 __all__ = [
-    "FamilySpec",
     "FAMILIES",
     "generate",
     "cycle",
@@ -30,11 +31,23 @@ __all__ = [
     "random_even_multigraph",
 ]
 
+# a generated cell took 0.9-1.1 KB with its JSON text, measured at 2e5 to
+# 3e5 cells, so one generator call stays near 1 GB
+_MAX_CELLS = 10**6
+
+
+def _within_cap(family: str, counts: Iterable[int]) -> None:
+    """Raise BadParameters as soon as the running sum of the counts, read
+    lazily in order of dimension, passes the cap; later ones go unread."""
+    if any(total > _MAX_CELLS for total in itertools.accumulate(counts)):
+        raise BadParameters(f"{family} would build more than {_MAX_CELLS} cells")
+
 
 def cycle(n: int) -> Complex:
     """The n-cycle as a 1-complex: vertices v0..v(n-1), edges ei-j."""
     if n < 3:
         raise BadParameters("cycle needs n >= 3")
+    _within_cap("cycle", (2 * n,))
     cells = [cell(f"v{i}", 0) for i in range(n)]
     for i in range(n):
         j = (i + 1) % n
@@ -53,6 +66,7 @@ def triangular_grid(rows: int) -> Complex:
     """
     if rows < 1:
         raise BadParameters("triangular_grid needs rows >= 1")
+    _within_cap("triangular_grid", ((rows + 1) * (2 * rows + 1),))
     cells: list[Cell] = []
     for i in range(rows + 1):
         for j in range(i + 1):
@@ -99,6 +113,7 @@ def simplex_skeleton(v: int, k: int) -> Complex:
     """
     if v < 1 or not 0 <= k <= v - 1:
         raise BadParameters("simplex_skeleton needs v >= 1, 0 <= k <= v-1")
+    _within_cap("simplex_skeleton", (comb(v, i) for i in range(1, k + 2)))
     return _subset_complex([str(i) for i in range(1, v + 1)], k)
 
 
@@ -110,6 +125,10 @@ def hypercube_skeleton(d: int, k: int) -> Complex:
     """
     if d < 1 or not 0 <= k <= d:
         raise BadParameters("hypercube_skeleton needs d >= 1, 0 <= k <= d")
+    # 2^bits passes the cap already, so no count needs a longer shift
+    bits = _MAX_CELLS.bit_length()
+    counts = (comb(d, i) << min(d - i, bits) for i in range(k + 1))
+    _within_cap("hypercube_skeleton", counts)
     cells: list[Cell] = []
     for r in range(k + 1):
         for stars in itertools.combinations(range(d), r):
@@ -141,6 +160,7 @@ def crosspolytope_skeleton(d: int, k: int) -> Complex:
         raise BadParameters(
             "crosspolytope_skeleton needs d >= 1, 0 <= k <= d-1"
         )
+    _within_cap("crosspolytope_skeleton", (comb(d, i) << i for i in range(1, k + 2)))
     verts = sorted(f"{sign}{i}" for sign in "pn" for i in range(1, d + 1))
 
     def antipode_free(combo: tuple[str, ...]) -> bool:
@@ -160,6 +180,7 @@ def finned_circlet(k: int, m: int) -> Complex:
     """
     if k < 3 or m < 4 or m % 2 != 0:
         raise BadParameters("finned_circlet needs k >= 3 and even m >= 4")
+    _within_cap("finned_circlet", (2 * k + 4 * m * k + 1,))
     cells: list[Cell] = []
     for t in range(k):
         cells.append(cell(f"c{t}", 0))
@@ -202,12 +223,14 @@ def finned_circlet(k: int, m: int) -> Complex:
 # ---- random families --------------------------------------------------
 
 
-def _library_circlets() -> list[Complex]:
-    return [
+@functools.cache
+def _library_circlets() -> tuple[Complex, ...]:
+    # built once per process: complexes never change
+    return (
         simplex_skeleton(4, 2),
         crosspolytope_skeleton(3, 2),
         hypercube_skeleton(3, 2),
-    ]
+    )
 
 
 def _relabel(k: Complex, prefix: str, identify: dict[str, str]) -> list[Cell]:
@@ -232,6 +255,7 @@ def random_even(seed: int, size: int) -> Complex:
     """
     if size < 1:
         raise BadParameters("random_even needs size >= 1")
+    _within_cap("random_even", (26 * size,))  # 26: the most any piece adds
     rng = random.Random(seed)
     library = _library_circlets()
     base = rng.choice(library)
@@ -254,16 +278,14 @@ def random_even(seed: int, size: int) -> Complex:
     return build_complex(current.values())
 
 
-def random_even_multigraph(seed: int, max_vertices: int = 12) -> Complex:
+def random_even_multigraph(seed: int) -> Complex:
     """A random even connected multigraph, reproducible by seed.
 
-    Cycles (2-cycles of parallel edges allowed) glued at shared
-    vertices, staying at or under the vertex budget. Every vertex degree
-    stays even, so the result always carries a closed walk through every
-    edge.
+    Cycles of 2 to 5 vertices (2-cycles of parallel edges allowed) glued
+    at shared vertices, staying at or under 12 vertices. Every vertex
+    degree stays even, so the result always carries a closed walk
+    through every edge.
     """
-    if max_vertices < 2:
-        raise BadParameters("random_even_multigraph needs max_vertices >= 2")
     rng = random.Random(seed)
 
     def raw_cycle(n: int, tag: str, shared: str | None) -> list[Cell]:
@@ -274,14 +296,14 @@ def random_even_multigraph(seed: int, max_vertices: int = 12) -> Complex:
             cells.append(cell(f"{tag}e{i}", 1, (u, w)))
         return cells
 
-    first = rng.randint(2, min(5, max_vertices))
+    first = rng.randint(2, 5)
     current: dict[str, Cell] = {c.id: c for c in raw_cycle(first, "a0.", None)}
     vertices = sorted(c.id for c in current.values() if c.dim == 0)
     tags = "abcdefghijklmnop"
     step = 0
     while True:
         step += 1
-        budget = max_vertices - len(vertices)
+        budget = 12 - len(vertices)
         if budget < 1 or step >= len(tags) or rng.random() < 0.3:
             break
         n = rng.randint(2, min(5, budget + 1))
@@ -292,14 +314,6 @@ def random_even_multigraph(seed: int, max_vertices: int = 12) -> Complex:
                 if c.dim == 0:
                     bisect.insort(vertices, c.id)
     return build_complex(current.values())
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus integer parameters, e.g. cycle(6)."""
-
-    family: str
-    params: tuple[int, ...]
 
 
 FAMILIES = {
@@ -313,14 +327,14 @@ FAMILIES = {
 }
 
 
-def generate(spec: FamilySpec) -> Complex:
-    """Dispatch a FamilySpec to its generator."""
-    entry = FAMILIES.get(spec.family)
+def generate(family: str, params: Sequence[int]) -> Complex:
+    """Build the named family at the given integer parameters."""
+    entry = FAMILIES.get(family)
     if entry is None:
-        raise BadParameters(f"unknown family {spec.family!r}")
+        raise BadParameters(f"unknown family {family!r}")
     fn, arity = entry
-    if len(spec.params) != arity:
+    if len(params) != arity:
         raise BadParameters(
-            f"{spec.family} takes {arity} parameter(s), got {len(spec.params)}"
+            f"{family} takes {arity} parameter(s), got {len(params)}"
         )
-    return fn(*spec.params)
+    return fn(*params)

@@ -16,6 +16,7 @@ the reference the emitters must equal byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -202,7 +203,7 @@ def complex_from_dict(doc: Any) -> Complex:
             raise ParseError(f"bad cell entry for id {cid!r}")
         faces = frozenset(boundary)
         if len(faces) < len(boundary):  # over one face twice: not regular
-            twice = min(b for b in faces if boundary.count(b) > 1)
+            twice = min(b for b, n in Counter(boundary).items() if n > 1)
             raise ParseError(
                 f"cell {cid!r} lists {twice!r} more than once in its boundary"
             )
@@ -332,13 +333,13 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dual_to_dot(g: DualMultigraph, name: str = "dual") -> str:
+def dual_to_dot(g: DualMultigraph) -> str:
     """Render a dual multigraph; parallel edges collapse to one line.
 
     Each facet pair gets a single edge labeled with its shared sides and,
     when there are several, a multiplicity marker and a heavier stroke.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph dual {"]
     for v in g.vertices:
         lines.append(f"  {_dot_quote(v)};")
     grouped: dict[tuple[str, str], list[str]] = {}

@@ -2,10 +2,10 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count
 
-from circlet import cell
-from circlet.complexes import build_complex
+from circlet import Cell, cell
+from circlet.complexes import Complex, build_complex
 from circlet.families import finned_circlet
 
 
@@ -131,3 +131,51 @@ def random_boundary(seed, v, d, p):
         else cell(c[0], 0)
         for c in closure
     )
+
+
+def cw_mutate(k, rng, moves=4):
+    """k after random moves that keep it even and regular but not simplicial.
+
+    * thicken: two new facets over one facet's boundary;
+    * pillow: a new side s' over the boundary of a side s, and two new
+      facets over {s, s'};
+    * merge: two facets whose closures meet exactly in the closure of a
+      side of degree 2 become one facet over the rest of their sides, and
+      that side goes. A side of degree 2 puts both its facets in one
+      circlet, so the minimal even sets before and after correspond one
+      to one.
+
+    New cells are named x0, x1, ...; a merge with no candidate pair is
+    skipped.
+    """
+    cells = {c.id: c for c in k}
+    n = k.dim
+    fresh = (f"x{i}" for i in count())
+    for _ in range(moves):
+        current = Complex(cells.values())
+        move = rng.choice(["thicken", "pillow", "merge"])
+        if move == "thicken":
+            faces = current.boundary(rng.choice(current.facets))
+            for x in (next(fresh), next(fresh)):
+                cells[x] = Cell(x, n, faces)
+        elif move == "pillow":
+            s = current.cell(rng.choice(current.sides))
+            twin = next(fresh)
+            cells[twin] = Cell(twin, n - 1, s.boundary)
+            for x in (next(fresh), next(fresh)):
+                cells[x] = Cell(x, n, frozenset({s.id, twin}))
+        else:
+            closure = current.closure
+            joins = [
+                (s, *current.facets_over(s))
+                for s in current.sides
+                if current.side_degrees[s] == 2
+            ]
+            joins = [j for j in joins if closure(j[1]) & closure(j[2]) == closure(j[0])]
+            if joins:
+                s, f, g = rng.choice(joins)
+                x = next(fresh)
+                faces = cells.pop(f).boundary | cells.pop(g).boundary
+                cells[x] = Cell(x, n, faces - {s})
+                del cells[s]
+    return Complex(cells.values())

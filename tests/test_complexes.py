@@ -10,7 +10,6 @@ from circlet import (
     dual_multigraph,
     euler_characteristic,
     induced_subcomplex,
-    skeleton,
     strong_components,
     validate_regularity,
 )
@@ -26,7 +25,6 @@ from circlet.errors import (
     NonRegularEdge,
     NotAFacet,
     NotPure,
-    RankOutOfRange,
     ZeroDimensional,
 )
 from circlet.families import simplex_skeleton
@@ -114,8 +112,8 @@ def test_complex_is_immutable(tetra):
 
 def test_every_slot_is_set_by_construction(tetra, delta52):
     # construction sets all five slots: the dimension, three tables and
-    # _kept, where side degrees, closures and the decomposition are kept
-    # on first ask; a slot left unset would raise AttributeError on first read
+    # _kept, where the side degrees and the decomposition are kept on
+    # first ask; a slot left unset would raise AttributeError on first read
     assert len(Complex.__slots__) == 5
     for k in (tetra, delta52, build_complex([cell("a", 0)])):
         for name in Complex.__slots__:
@@ -171,6 +169,18 @@ def test_closure_of_a_facet(tetra):
         "2-3",
         "3",
     ]
+    assert tetra._kept.keys() <= {"side_degrees", "decomposition"}
+
+
+def test_closure_walks_any_depth():
+    # one cell per dimension up to 3000, each over the one below it: a
+    # recursive walk would pass the interpreter's recursion limit
+    cells = [cell("a", 0), cell("b", 0), cell("c1", 1, ["a", "b"])]
+    cells += [cell(f"c{r}", r, [f"c{r - 1}"]) for r in range(2, 3001)]
+    k = build_complex(cells)
+    assert len(k.closure("c3000")) == 3002
+    assert k.closure("c2") == {"a", "b", "c1", "c2"}
+    assert k._kept == {}
 
 
 def test_cell_counts(delta52):
@@ -222,17 +232,6 @@ def test_euler_characteristic(delta52, cube, octahedron, c34, grid):
 
 
 # ---- subcomplexes -----------------------------------------------------
-
-
-def test_skeleton(delta52):
-    sk = skeleton(delta52, 1)
-    assert sk.dim == 1
-    assert [len(sk.cells_of_dim(r)) for r in range(2)] == [6, 15]
-    assert skeleton(delta52, 2) is delta52
-    with pytest.raises(RankOutOfRange):
-        skeleton(delta52, 3)
-    with pytest.raises(RankOutOfRange):
-        skeleton(delta52, -1)
 
 
 def test_induced_subcomplex(delta52):

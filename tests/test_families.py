@@ -1,4 +1,5 @@
 import hashlib
+from math import comb
 
 import pytest
 
@@ -10,10 +11,11 @@ from circlet import (
     strong_components,
     validate_regularity,
 )
+from circlet import families
+from circlet.cli import main
 from circlet.errors import BadParameters
 from circlet.families import (
     FAMILIES,
-    FamilySpec,
     crosspolytope_skeleton,
     cycle,
     finned_circlet,
@@ -173,16 +175,14 @@ def test_random_even_multigraph():
     one = serialize.dumps(serialize.complex_to_dict(random_even_multigraph(2)))
     two = serialize.dumps(serialize.complex_to_dict(random_even_multigraph(2)))
     assert one == two
-    with pytest.raises(BadParameters):
-        random_even_multigraph(0, max_vertices=1)
 
 
 # ---- dispatch ---------------------------------------------------------
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("cycle", (5,))) == cycle(5)
-    assert generate(FamilySpec("simplex_skeleton", (5, 2))) == simplex_skeleton(5, 2)
+    assert generate("cycle", [5]) == cycle(5)
+    assert generate("simplex_skeleton", (5, 2)) == simplex_skeleton(5, 2)
     assert set(FAMILIES) == {
         "cycle",
         "triangular_grid",
@@ -195,12 +195,117 @@ def test_generate_dispatch():
 
 
 def test_generate_rejects_unknown_family():
-    with pytest.raises(BadParameters):
-        generate(FamilySpec("moebius", (3,)))
+    with pytest.raises(BadParameters, match="^unknown family 'moebius'$"):
+        generate("moebius", (3,))
 
 
 def test_generate_rejects_wrong_arity():
-    with pytest.raises(BadParameters):
-        generate(FamilySpec("cycle", (5, 2)))
-    with pytest.raises(BadParameters):
-        generate(FamilySpec("simplex_skeleton", (5,)))
+    with pytest.raises(BadParameters, match=r"^cycle takes 1 parameter\(s\), got 2$"):
+        generate("cycle", (5, 2))
+    with pytest.raises(
+        BadParameters, match=r"^simplex_skeleton takes 2 parameter\(s\), got 1$"
+    ):
+        generate("simplex_skeleton", [5])
+
+
+# ---- the cell cap -----------------------------------------------------
+
+
+def cell_count(family, a, b=None):
+    """Cells of a family member, in closed form (the sums run in full)."""
+    if family == "cycle":
+        return 2 * a
+    if family == "triangular_grid":
+        return (a + 1) * (2 * a + 1)
+    if family == "simplex_skeleton":
+        return sum(comb(a, i + 1) for i in range(b + 1))
+    if family == "hypercube_skeleton":
+        return sum(comb(a, i) * 2 ** (a - i) for i in range(b + 1))
+    if family == "crosspolytope_skeleton":
+        return sum(comb(a, i + 1) * 2 ** (i + 1) for i in range(b + 1))
+    if family == "finned_circlet":
+        return a * (4 * b + 2) + 1
+    assert family == "random_even"
+    return 26 * b  # an upper bound: every library circlet has 14 or 26 cells
+
+
+SMALL = {
+    "cycle": [(3,), (7,)],
+    "triangular_grid": [(1,), (4,)],
+    "simplex_skeleton": [(1, 0), (5, 2), (6, 5)],
+    "hypercube_skeleton": [(1, 0), (3, 2), (4, 4)],
+    "crosspolytope_skeleton": [(1, 0), (3, 2), (4, 3)],
+    "finned_circlet": [(3, 4), (5, 6)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(SMALL))
+def test_cell_counts_in_closed_form(family):
+    for params in SMALL[family]:
+        assert len(generate(family, params)) == cell_count(family, *params)
+
+
+def test_random_even_cell_bound():
+    for seed in range(8):
+        for n in (1, 5, 20):
+            assert len(random_even(seed, n)) <= cell_count("random_even", seed, n)
+
+
+# the largest parameters under the cap and the same with one step more
+AT_CAP = {
+    "cycle": ((500_000,), (500_001,)),
+    "triangular_grid": ((706,), (707,)),
+    "simplex_skeleton": ((1413, 1), (1414, 1)),
+    "hypercube_skeleton": ((19, 0), (19, 1)),
+    "crosspolytope_skeleton": ((500_000, 0), (500_001, 0)),
+    "finned_circlet": ((55_555, 4), (55_556, 4)),
+    "random_even": ((1, 38_461), (1, 38_462)),
+}
+
+HUGE = 10**26
+BEYOND = {
+    "cycle": [(HUGE,)],
+    "triangular_grid": [(HUGE,)],
+    "simplex_skeleton": [(HUGE, 2), (HUGE, HUGE - 1), (60, 30)],
+    "hypercube_skeleton": [(HUGE, 0), (HUGE, HUGE), (20, 0), (60, 0)],
+    "crosspolytope_skeleton": [(HUGE, 1), (HUGE, HUGE - 1)],
+    "finned_circlet": [(HUGE, 4), (3, HUGE)],
+    "random_even": [(1, HUGE)],
+}
+
+
+class Built(Exception):
+    """Raised by the patched cell factories: a cell was about to be made."""
+
+
+@pytest.fixture
+def no_cells(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(families, "cell", refuse)
+    monkeypatch.setattr(families, "Cell", refuse)
+
+
+def test_every_family_has_a_cap_case():
+    assert set(AT_CAP) == set(BEYOND) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(AT_CAP))
+def test_generators_refuse_past_the_cap(family, no_cells):
+    fits, over = AT_CAP[family]
+    assert cell_count(family, *fits) <= families._MAX_CELLS < cell_count(family, *over)
+    with pytest.raises(Built):  # past the check, stopped at the first cell
+        generate(family, fits)
+    message = f"^{family} would build more than {families._MAX_CELLS} cells$"
+    for params in [over, *BEYOND[family]]:
+        with pytest.raises(BadParameters, match=message):
+            generate(family, params)
+
+
+@pytest.mark.parametrize("family", sorted(AT_CAP))
+def test_cli_refuses_past_the_cap(family, no_cells, capsys):
+    for params in [AT_CAP[family][1], *BEYOND[family]]:
+        assert main(["generate", family, *map(str, params)]) == 2
+        out = capsys.readouterr().out
+        assert '"error": "BadParameters"' in out and "would build more than" in out

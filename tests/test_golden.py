@@ -5,8 +5,11 @@ exit code and the sha256 of stdout. Most inputs come from ``generate``,
 whose own output is pinned too. The rest are committed documents under
 ``tests/golden/inputs/``: complexes that fail a regularity rule, and
 hostile ones that fail to load or fail a precondition, so failure reports
-and error documents are pinned as well, and a chain of two finned
-circlets, where a seed changes each circlet's own pairing. ``verify`` reads whatever
+and error documents are pinned as well; a chain of two finned circlets,
+where a seed changes each circlet's own pairing; and ``cw-moves``, a
+random mod-2 boundary after ``builders.cw_mutate`` (facets over one
+boundary, a digon pillow, a pentagon), where the seed changes the cover
+too. ``verify`` reads whatever
 ``cover`` wrote, and also runs alone on the tampered cover documents
 under ``tests/golden/covers/``. To re-record after a deliberate change of
 output:

@@ -41,6 +41,7 @@ from circlet import (
     canonical_gluing,
     corner_link,
     decompose_into_circlets,
+    degree_profile,
     dual_multigraph,
     euler_cover,
     extract_circlet,
@@ -110,7 +111,7 @@ def test_facets_over_matches_scan(case):
 def test_closure_matches_bottom_up(case):
     k = LOOKUP_CASES[case]()
     expected = oracles.closures_bottom_up(k)
-    # top cells first, so lower closures are filled in by the recursion
+    # both orders: no answer may depend on an earlier call
     for cid in [*reversed(expected), *expected]:
         assert k.closure(cid) == expected[cid]
     with pytest.raises(KeyError):
@@ -501,6 +502,65 @@ def test_random_boundaries_match_references(v, d, p):
         for s in SEEDS:
             assert_matches_references(k, s)
             assert_verify_matches_links(euler_cover(k, seed=s), seed)
+
+
+# the same draws after random CW moves: facets over one boundary, digon
+# pillows, facets with more sides than a simplex (29 draws: one is empty)
+CW_DRAWS = [
+    (*shape, seed)
+    for shape in BOUNDARY_DRAWS
+    for seed in range(6)
+    if builders.random_boundary(seed, *shape) is not None
+]
+
+
+def cw_draw(v, d, p, seed):
+    base = builders.random_boundary(seed, v, d, p)
+    return builders.cw_mutate(base, random.Random(seed))
+
+
+@pytest.mark.parametrize("v, d, p, seed", CW_DRAWS)
+def test_cw_mutations_match_references(v, d, p, seed):
+    k = cw_draw(v, d, p, seed)
+    assert validate_regularity(k).passed and degree_profile(k).is_even
+    if len(k.facets) <= 18:
+        minimal = set(oracles.minimal_even_facet_sets(k))
+        parts = decompose_into_circlets(k).parts
+        assert {frozenset(q) for q in parts} <= minimal
+        assert sorted(f for q in parts for f in q) == sorted(k.facets)
+    for s in SEEDS:
+        assert_matches_references(k, s)
+        assert_verify_matches_links(euler_cover(k, seed=s), seed)
+
+
+def test_cw_mutations_leave_the_simplicial_world():
+    ks = [cw_draw(*draw) for draw in CW_DRAWS]
+    shared = sum(len({k.boundary(f) for f in k.facets}) < len(k.facets) for k in ks)
+    wide = sum(any(len(k.boundary(f)) > k.dim + 1 for f in k.facets) for k in ks)
+    assert (len(ks), shared, wide) == (29, 27, 12)
+
+
+def back_to_cover_source(cid):
+    """A second cover's id read as the first cover's: s#1 -> s, f^ -> f."""
+    return cid[:-2] if cid.endswith("#1") else cid[:-1] if cid.endswith("^") else cid
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+def test_cover_of_a_cover_is_itself(seed):
+    # a cover's source is a strongly connected pseudomanifold: one circlet,
+    # every side under two facets, so covering it again only renames it
+    for draw in CW_DRAWS:
+        m = euler_cover(cw_draw(*draw), seed=seed).source
+        assert len(decompose_into_circlets(m).parts) == 1
+        again = euler_cover(m, seed=seed)
+        assert again.target is m
+        names = {c.id: back_to_cover_source(c.id) for c in again.source}
+        assert again.cell_map == names
+        assert Complex(
+            Cell(names[c.id], c.dim, frozenset(map(names.get, c.boundary)))
+            for c in again.source
+        ) == m
+        assert verify_cover(again).passed
 
 
 def test_disconnected_boundary_has_no_cover():

@@ -180,6 +180,32 @@ def test_parse_errors(tmp_path):
         serialize.cover_from_dict(doc)
 
 
+class CountedStr(str):
+    """A str that counts the equality tests made on it."""
+
+    calls = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedStr.calls += 1
+        return str.__eq__(self, other)
+
+
+def test_repeated_boundary_id_is_found_in_one_pass(monkeypatch):
+    # one edge over n distinct ids and a repeat: counting each id's
+    # occurrences makes about n * n equality tests, a hostile file's hang
+    n = 1000
+    ids = [CountedStr(f"v{i}") for i in range(n)]
+    vertices = [{"id": v, "dim": 0, "boundary": []} for v in ids]
+    edge = {"id": "e", "dim": 1, "boundary": [*ids, CountedStr("v7")]}
+    monkeypatch.setattr(CountedStr, "calls", 0)
+    with pytest.raises(
+        ParseError, match="^cell 'e' lists 'v7' more than once in its boundary$"
+    ):
+        serialize.complex_from_dict({"dimension": 1, "cells": [*vertices, edge]})
+    assert CountedStr.calls < 10 * n
+
+
 def test_boolean_dimensions_rejected(tetra):
     # JSON true is a Python int equal to 1; it must not pass as a dimension
     doc = serialize.complex_to_dict(tetra)
@@ -387,11 +413,6 @@ def test_dual_to_dot_parallel_edges():
     assert dot.count(" -- ") == 1
     assert 'label="x2: a, b"' in dot
     assert "penwidth=1.6" in dot
-
-
-def test_dual_to_dot_custom_name(cube):
-    dot = serialize.dual_to_dot(dual_multigraph(cube), name="cubedual")
-    assert dot.startswith("graph cubedual {")
 
 
 def test_dual_to_dot_escapes_quotes_and_backslashes():
