@@ -100,6 +100,8 @@ class Complex:
     ``_kept``; nothing else is kept.
 
     Construct through :func:`build_complex` (or directly, same thing).
+    :func:`circlet.covers.build_glued_complex` alone writes the tables
+    itself, from a complex already checked, and sets them with ``_fill``.
     Cell ids are opaque strings; every tie anywhere in the library is
     broken by lexicographic id order, so all outputs are deterministic.
     """
@@ -149,15 +151,17 @@ class Complex:
                     f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
                 )
         # boundaries are nonempty, one dim down: group r holds the r-cells
-        n = ordered[-1][1]
         by_dim = tuple(tuple(c[0] for c in group) for group in groups)
-        cofaces = {b: tuple(ids) for b, ids in up.items() if ids}
+        self._fill(table, by_dim, {b: tuple(ids) for b, ids in up.items() if ids})
 
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "_cells", table)
+    def _fill(self, cells: dict, by_dim: tuple, cofaces: dict) -> Complex:
+        """Set every slot from finished (dim, id)-ordered tables; no checks."""
+        object.__setattr__(self, "dim", len(by_dim) - 1)
+        object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_by_dim", by_dim)
         object.__setattr__(self, "_cofaces", cofaces)
         object.__setattr__(self, "_kept", {})
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Complex is immutable")

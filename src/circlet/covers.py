@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .complexes import (
@@ -135,6 +136,20 @@ class CoverMap:
         return self._preimages.get(target_id, ())
 
 
+def _name_gluing_fault(k: Complex, g: _Gluing) -> None:
+    """Raise for the first wrong side in id order, its pairs sorted."""
+    for s in k.sides:
+        try:
+            for a, b in g[s]:
+                if a == b:
+                    raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
+            if tuple(sorted(chain.from_iterable(g[s]))) != k.facets_over(s):
+                raise GluingMismatch(f"pairs at {s!r} do not partition its facets")
+        except (TypeError, ValueError):
+            bad = f"pairs at {s!r} are not pairs of facet ids"
+            raise GluingMismatch(bad) from None
+
+
 def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     """The cover a gluing describes: the glued complex projected onto k.
 
@@ -143,44 +158,65 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     Every facet f becomes f^, attached to the copy of each of its sides
     whose pair contains f. Side copies end up with degree exactly 2.
     A kept cell whose id is also a generated id raises ParseError.
+    The source's tables are written here from k's; the gluing is checked
+    per facet lift, and a fault found so is then named side by side.
     """
     if k.dim == 0:
         raise ZeroDimensional("cannot glue a 0-dimensional complex")
     if set(g) != set(k.sides):
         raise GluingMismatch("gluing sides differ from the complex's sides")
-    n = k.dim
-    kept = [cid for r in range(n - 1) for cid in k.cells_of_dim(r)]
-    cells: list[Cell] = [k.cell(cid) for cid in kept]
-    cell_map: dict[str, str] = dict(zip(kept, kept))
-    # each pair hands its side copy to both facets' lifts as it is made
-    lift_boundary: dict[str, list[str]] = {f: [] for f in k.facets}
+    n, k_cells, k_cofaces = k.dim, k._cells, k._cofaces
+    low = len(k_cells) - len(k.sides) - len(k.facets)  # kept: k's first cells
+    cells = dict(islice(k_cells.items(), low))
+    cell_map: dict[str, str] = {cid: cid for cid in cells}
+    # facet -> its lift's id and, per side, the copy its pair there owns
+    lifts = {f: (f"{f}^", {}) for f in k.facets}
+    copies = []  # (id, cell, its two lifts in id order), in side order
     new = tuple.__new__  # new(Cell, fields) skips Cell.__new__: half the cost
-    for s in k.sides:
-        pairs = g[s]  # checked before any copy of s is made
-        for a, b in pairs:
-            if a == b:
-                raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
-        if tuple(sorted(chain.from_iterable(pairs))) != k.facets_over(s):
-            raise GluingMismatch(f"pairs at {s!r} do not partition its facets")
-        base_boundary = k.boundary(s)
-        for j, (a, b) in enumerate(pairs, start=1):
-            cid = f"{s}#{j}"
-            cells.append(new(Cell, (cid, n - 1, base_boundary)))
-            cell_map[cid] = s
-            lift_boundary[a].append(cid)
-            lift_boundary[b].append(cid)
-    for f, boundary in lift_boundary.items():
-        fid = f"{f}^"
-        cells.append(new(Cell, (fid, n, frozenset(boundary))))
-        cell_map[fid] = f
+    try:
+        for s in k.sides:
+            for j, (a, b) in enumerate(g[s], start=1):
+                cid = f"{s}#{j}"
+                cell_map[cid] = s
+                (la, over_a), (lb, over_b) = lifts[a], lifts[b]
+                over_a[s] = over_b[s] = cid
+                copy = new(Cell, (cid, n - 1, k_cells[s][2]))
+                copies.append((cid, copy, (la, lb) if la < lb else (lb, la)))
+        # each lift gets one copy of each of its sides, and none twice
+        faulty = any(o.keys() != k_cells[f][2] for f, (_, o) in lifts.items())
+        faulty |= 2 * len(copies) != sum(len(o) for _, o in lifts.values())
+    except (KeyError, TypeError, ValueError):  # a non-facet, or not a pair
+        faulty = True
+    if faulty:
+        _name_gluing_fault(k, g)
+    copies.sort(key=itemgetter(0))
+    lift_cells = sorted(
+        (new(Cell, (fid, n, frozenset(o.values()))) for fid, o in lifts.values()),
+        key=itemgetter(0),
+    )
+    cell_map.update((fid, f) for f, (fid, _) in lifts.items())
+    cells.update((cid, copy) for cid, copy, _ in copies)
+    cells.update((c[0], c) for c in lift_cells)
     # copy ids end in #<j> and lift ids in ^, so a clash is with a kept id
-    if len(cell_map) != len(cells):
-        clash = min(set(kept).intersection(c.id for c in cells[len(kept):]))
+    if len(cells) != low + len(copies) + len(lift_cells):
+        made = {c[0] for c in chain(copies, lift_cells)}
         raise ParseError(
-            f"cell id {clash!r} is also the id of a side copy or "
-            "facet lift in the cover; rename it"
+            f"cell id {min(made.intersection(islice(k_cells, low)))!r} is also "
+            "the id of a side copy or facet lift in the cover; rename it"
         )
-    return CoverMap(source=build_complex(cells), target=k, cell_map=cell_map)
+    # (dim, id) order, each tuple sorted: k's cofaces below the corners,
+    # then the copies over each corner and the two lifts over each copy
+    below = islice(k_cells, low - len(k.corners))
+    cofaces = {cid: k_cofaces[cid] for cid in below if cid in k_cofaces}
+    up: dict[str, list[str]] = {cid: [] for cid in k.corners}
+    for cid, copy, _ in copies:
+        for b in copy[2]:
+            up[b].append(cid)
+    cofaces.update((cid, tuple(ids)) for cid, ids in up.items() if ids)
+    cofaces.update((cid, pair) for cid, _, pair in copies)
+    top = tuple(c[0] for c in copies), tuple(c[0] for c in lift_cells)
+    source = Complex.__new__(Complex)._fill(cells, k._by_dim[: n - 1] + top, cofaces)
+    return CoverMap(source=source, target=k, cell_map=cell_map)
 
 
 def cover_circlet(c: Complex, *, seed: int | None = None) -> CoverMap:
@@ -311,12 +347,12 @@ def euler_cover(k: Complex, *, seed: int | None = None) -> CoverMap:
         rng = None if seed is None else random.Random(seed)
         over: dict[str, list[str]] = {}  # side -> the part's facets over it
         for f in parts[i]:  # in id order, so each list is too
-            for s in k.boundary(f):
+            for s in k._cells[f][2]:
                 over.setdefault(s, []).append(f)
         piece = {s: _pair_up(over[s], rng) for s in sorted(over)}
         # a side already folded in was crossed then, its circlets all seen
         fresh = (s for s in piece if s not in pairs)
-        near = {part_of[g] for s in fresh for g in k.facets_over(s)} - seen
+        near = {part_of[g] for s in fresh for g in k._cofaces[s]} - seen
         _merge_at(pairs, piece, next((s for s in piece if s in pairs), None))
         seen |= near
         fold_order += sorted(near)

@@ -11,7 +11,7 @@ stdlib encoder the canonical JSON emitter must match.
 import json
 from collections import deque
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import xor
 
 from circlet import (
@@ -35,7 +35,7 @@ from circlet import (
     require_circlet,
     strong_components,
 )
-from circlet.errors import ParseError
+from circlet.errors import GluingMismatch, ParseError
 
 
 # ---- GF(2) parity by exhaustive enumeration ---------------------------
@@ -460,6 +460,24 @@ def fold_by_subcomplexes(k: Complex, *, seed=None) -> CoverMap:
         for s, p in piece.items():
             pairs.setdefault(s, []).extend(p)
     return build_glued_complex(k, {s: tuple(p) for s, p in pairs.items()})
+
+
+def check_gluing_by_sides(k: Complex, g: dict) -> None:
+    """build_glued_complex's gluing checks as first written, side by side.
+
+    The gluing's sides must be the complex's; then, sides in id order, no
+    pair may repeat a facet, and a side's pairs, flattened and sorted,
+    must be the facets over it. The first fault raises GluingMismatch.
+    """
+    if set(g) != set(k.sides):
+        raise GluingMismatch("gluing sides differ from the complex's sides")
+    for s in k.sides:
+        pairs = g[s]
+        for a, b in pairs:
+            if a == b:
+                raise GluingMismatch(f"pair at {s!r} repeats facet {a!r}")
+        if tuple(sorted(chain.from_iterable(pairs))) != k.facets_over(s):
+            raise GluingMismatch(f"pairs at {s!r} do not partition its facets")
 
 
 def build_glued_by_copy_map(k: Complex, g: dict) -> CoverMap:

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import builders
+import oracles
 from circlet import (
     CircletError,
     CoverMap,
@@ -195,10 +196,49 @@ def test_build_rejects_corrupt_gluing(octahedron):
             "two sides": partition,
         }
         for how, message in expected.items():
+            g = _corrupt(k, how)
             with pytest.raises(GluingMismatch) as info:
-                build_glued_complex(k, _corrupt(k, how))
+                build_glued_complex(k, g)
             assert type(info.value) is GluingMismatch, how
             assert str(info.value) == message, how
+            # the per-side checks the build names its faults with, alone
+            with pytest.raises(GluingMismatch) as ref:
+                oracles.check_gluing_by_sides(k, g)
+            assert type(ref.value) is GluingMismatch, how
+            assert str(ref.value) == message, how
+
+
+MALFORMED_PAIRS = {
+    "three-tuple": lambda a, b, c: ((a, b, c),),
+    "one-tuple": lambda a, b, c: ((a,),),
+    "string pair": lambda a, b, c: ("abc",),
+    "string": lambda a, b, c: "abc",
+    "none": lambda a, b, c: None,
+    "number": lambda a, b, c: 5,
+    "number in a pair": lambda a, b, c: ((a, 5),),
+    "unhashable id": lambda a, b, c: ((a, [b]),),
+}
+
+
+@pytest.mark.parametrize("how", sorted(MALFORMED_PAIRS))
+def test_build_names_malformed_pairs(how):
+    # a gluing error, not a bare ValueError or TypeError, at the first
+    # malformed side in id order, even with a later side wrong too
+    k = random_even(3, 3)
+    g = canonical_gluing(k)
+    s, later = k.sides[1], k.sides[-1]
+    g[s] = MALFORMED_PAIRS[how](*k.facets_over(s)[:2], k.facets[0])
+    (a, _), *rest = g[later]
+    g[later] = ((a, a), *rest)
+    with pytest.raises(GluingMismatch) as info:
+        build_glued_complex(k, g)
+    assert str(info.value) == f"pairs at {s!r} are not pairs of facet ids"
+    # an earlier wrong side is still named first
+    g[k.sides[0]] = ()
+    with pytest.raises(GluingMismatch) as info:
+        build_glued_complex(k, g)
+    first = k.sides[0]
+    assert str(info.value) == f"pairs at {first!r} do not partition its facets"
 
 
 def test_build_rejects_points():

@@ -531,6 +531,7 @@ def test_cw_mutations_match_references(v, d, p, seed):
     for s in SEEDS:
         assert_matches_references(k, s)
         assert_verify_matches_links(euler_cover(k, seed=s), seed)
+        assert_covers_build_agree(k, s)
 
 
 def test_cw_mutations_leave_the_simplicial_world():
@@ -596,12 +597,34 @@ def awkwardly_renamed(k, rng):
     )
 
 
+def assert_constructor_tables(m):
+    """m's tables are those the constructor builds from its cells, in order.
+
+    Complex equality compares the cell tables as dicts; this compares the
+    order of every table too, coface tuples included.
+    """
+    ref = Complex(list(m))
+    assert m.dim == ref.dim
+    assert list(m._cells.items()) == list(ref._cells.items())
+    assert m._by_dim == ref._by_dim
+    assert list(m._cofaces.items()) == list(ref._cofaces.items())
+
+
 def assert_glued_builds_agree(k, g):
     cover = build_glued_complex(k, g)
     ref = oracles.build_glued_by_copy_map(k, g)
     assert cover.source == ref.source
+    assert_constructor_tables(cover.source)
     assert cover.cell_map == ref.cell_map
     assert cover.target is k
+
+
+def assert_covers_build_agree(k, seed):
+    """A canonical gluing of k and euler_cover's fold, each built both ways."""
+    assert_glued_builds_agree(k, canonical_gluing(k, seed=seed))
+    cover = euler_cover(k, seed=seed)
+    assert_constructor_tables(cover.source)
+    assert_glued_builds_agree(k, gluing_from_cover(cover))
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
@@ -617,8 +640,7 @@ def test_glued_build_matches_copy_map(seed, n, size, rename, rng):
     if rename:
         k = awkwardly_renamed(k, rng)
     # one pairing of the whole complex, and the fold over its circlets
-    assert_glued_builds_agree(k, canonical_gluing(k, seed=seed))
-    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, seed=seed)))
+    assert_covers_build_agree(k, seed)
 
 
 GLUED_CASES = {
@@ -641,8 +663,7 @@ def test_glued_cases_match_copy_map(case, rename, seed):
     k = GLUED_CASES[case]()
     if rename:
         k = awkwardly_renamed(k, random.Random(seed or 0))
-    assert_glued_builds_agree(k, canonical_gluing(k, seed=seed))
-    assert_glued_builds_agree(k, gluing_from_cover(euler_cover(k, seed=seed)))
+    assert_covers_build_agree(k, seed)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -662,6 +683,53 @@ def test_glued_id_clash_matches_copy_map(seed):
         f"cell id {taken!r} is also the id of a side copy or facet lift in "
         "the cover; rename it"
     )
+
+
+def gluing_outcome(check, k, g):
+    """The class and message ``check(k, g)`` raises, or None."""
+    try:
+        check(k, g)
+    except CircletError as e:
+        return type(e), str(e)
+    return None
+
+
+def corrupted(k, g, rng):
+    """Copies of gluing g, each with one defect at a random side.
+
+    A facet traded with one in a pair at another side, a pair dropped, a
+    pair given twice, and a facet replaced by one not over the side.
+    """
+    s, t = rng.sample(k.sides, 2)
+    i, j = rng.randrange(len(g[s])), rng.randrange(len(g[t]))
+    (a, b), (c, d) = g[s][i], g[t][j]
+    swapped = {**g, s: (*g[s][:i], (c, b), *g[s][i + 1 :])}
+    swapped[t] = (*g[t][:j], (a, d), *g[t][j + 1 :])
+    out = [
+        swapped,
+        {**g, s: g[s][:i] + g[s][i + 1 :]},
+        {**g, s: (*g[s], g[s][i])},
+    ]
+    strangers = sorted(set(k.facets) - set(k.facets_over(s)))
+    if strangers:
+        stranger = (rng.choice(strangers), b)
+        out.append({**g, s: (*g[s][:i], stranger, *g[s][i + 1 :])})
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(2, 8), rng=st.randoms())
+def test_gluing_checks_match_sides(seed, n, size, rng):
+    # the build finds faults per facet lift, then names them side by side
+    k = random_even(n, size)
+    for g in (canonical_gluing(k, seed=seed), gluing_from_cover(euler_cover(k))):
+        assert gluing_outcome(oracles.check_gluing_by_sides, k, g) is None
+        for bad in corrupted(k, g, rng):
+            want = gluing_outcome(oracles.check_gluing_by_sides, k, bad)
+            assert gluing_outcome(build_glued_complex, k, bad) == want
+            if want is None:  # a trade of one facet for itself
+                assert_glued_builds_agree(k, bad)
 
 
 # ---- cover verification ----------------------------------------------
