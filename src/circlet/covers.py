@@ -19,7 +19,6 @@ cover verbatim.
 from __future__ import annotations
 
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,22 +64,6 @@ __all__ = [
     "verify_cover",
     "side_tour",
 ]
-
-
-def _natural_key(cell_id: str) -> tuple:
-    """Sort key comparing embedded digit runs numerically.
-
-    Keeps side copies in copy order: "s#2" before "s#10". Split always
-    alternates text and number runs, so keys of any two ids compare. A
-    run of ASCII digits is keyed by its length and digits once leading
-    zeros are gone, which orders as its value does with no conversion,
-    at any length; other digits are text.
-    """
-    parts: list = re.split(r"([0-9]+)", cell_id)
-    for i in range(1, len(parts), 2):
-        digits = parts[i].lstrip("0")
-        parts[i] = (len(digits), digits)
-    return tuple(parts)
 
 
 # ---- gluings ----------------------------------------------------------
@@ -233,12 +216,12 @@ def gluing_from_cover(cover: CoverMap) -> _Gluing:
 
     Each source side lies under exactly two facets; their images form one
     pair around the image side. Pair order follows the source side ids
-    with digit runs compared numerically, which matches copy order for
-    covers built here. The first violation of rule (b), (e), (f) or (g)
-    of :func:`verify_cover` raises InvalidCover with its message; those
-    rules make the pairs at each side partition its facets. Rules (c)
-    and (h) are not asked for: a glued non-circlet need not be a
-    pseudomanifold.
+    by length, then as text: copy order for the copies s#1 .. s#r built
+    here, and a fixed order for any other ids. The first violation of
+    rule (b), (e), (f) or (g) of :func:`verify_cover` raises InvalidCover
+    with its message; those rules make the pairs at each side partition
+    its facets. Rules (c) and (h) are not asked for: a glued non-circlet
+    need not be a pseudomanifold.
     """
     m, k, phi = cover.source, cover.target, cover.cell_map
     if m.dim != k.dim or k.dim == 0:
@@ -254,7 +237,7 @@ def gluing_from_cover(cover: CoverMap) -> _Gluing:
     return {
         s: tuple(
             tuple(sorted(map(phi.__getitem__, m.facets_over(c))))
-            for c in sorted(cs, key=_natural_key)
+            for c in sorted(cs, key=lambda c: (len(c), c))
         )
         for s, cs in copies.items()
     }

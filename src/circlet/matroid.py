@@ -96,12 +96,8 @@ def find_even_subset(
     support of the dependency on the first column that is not independent
     of the earlier ones.
     """
-    chosen = sorted(set(facet_ids))
-    idx = m.column_index(chosen)
-    j, combo = gf2.first_dependency([m.columns[q] for q in idx])
-    if j < 0:
-        return None
-    return frozenset(chosen[b] for b in gf2.bit_indices(combo))
+    circuit = _first_circuit(m, sorted(set(facet_ids)))
+    return None if circuit is None else frozenset(circuit)
 
 
 def extract_circlet(
@@ -109,28 +105,24 @@ def extract_circlet(
 ) -> frozenset[str]:
     """A minimal even subset (a circlet) of an even facet set S, in one scan.
 
-    Returns the even subset :func:`_smaller_even_subset` finds, or S when it
-    finds none.
+    Returns the first circuit of S minus its smallest facet, or S when
+    there is none: a proper even T of S puts T or S - T in that rest.
     """
     current = sorted(set(facet_ids))
     if not is_even_subset(m, current):
         raise NotEven("starting facet set is not even")
-    return frozenset(_smaller_even_subset(m, current) or current)
+    return frozenset(_first_circuit(m, current[1:]) or current)
 
 
-def _smaller_even_subset(
-    m: IncidenceMatrixGF2, part: Sequence[str]
-) -> list[str] | None:
-    """A proper even subset of an even facet set in id order, or None.
+def _first_circuit(m: IncidenceMatrixGF2, ids: Sequence[str]) -> list[str] | None:
+    """The first circuit among the ids' columns, in id order, or None.
 
-    One scan over ``part[1:]``: its first dependency is a fundamental
-    circuit, hence minimal, and is returned in id order. If there is none,
-    the part is minimal, as a proper even T puts T or part - T in part[1:].
+    One fresh scan: its first dependency is a fundamental circuit, hence
+    minimal.
     """
     cols = m.columns
-    rest = m.column_index(part[1:])
-    j, combo = gf2.scan((cols[q] for q in rest), {}, 1)
-    return None if j < 0 else [part[b] for b in gf2.bit_indices(combo)]
+    j, combo = gf2.scan((cols[q] for q in m.column_index(ids)), {})
+    return None if j < 0 else [ids[b] for b in gf2.bit_indices(combo)]
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ def decompose_into_circlets(k: Complex) -> CircletDecomposition:
     if not profile.is_pure:
         raise NotPure("decomposition needs a pure complex")
     if not profile.is_even:
-        raise NotEven("decomposition needs every side degree positive even")
+        raise NotEven("decomposition needs every side degree positive and even")
     m = incidence_matrix(k)
     facets, cols = m.facet_ids, m.columns
     rest = islice(cols, 1, None)  # one iterator: each scan resumes at j + 1
@@ -244,7 +236,7 @@ def validate_decomposition(
                 Violation("even", part, f"part {i} is not an even subset")
             )
             continue
-        smaller = _smaller_even_subset(m, part)
+        smaller = _first_circuit(m, part[1:])
         if smaller is not None:
             violations.append(
                 Violation(
@@ -271,6 +263,6 @@ def require_circlet(k: Complex) -> IncidenceMatrixGF2:
     if not profile.is_even:
         raise NotCirclet("not even, so not a circlet")
     m = incidence_matrix(k)
-    if _smaller_even_subset(m, m.facet_ids) is not None:
+    if _first_circuit(m, m.facet_ids[1:]) is not None:
         raise NotCirclet("a proper even facet subset exists")
     return m

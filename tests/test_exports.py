@@ -15,6 +15,8 @@ import pytest
 
 import circlet
 from circlet import complexes, covers, matroid
+from circlet.errors import NotCirclet
+from circlet.families import simplex_skeleton
 
 MODULES = [
     circlet,
@@ -57,3 +59,26 @@ def test_tracer_wraps_and_restores_every_target():
     after = [vars(owner)[attr] for owner, attr in sites]
     assert all(w.__wrapped__ is o for w, o in zip(inside, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_tracer_runs_the_matroid_entry_points(n):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    k = simplex_skeleton(n, 2)  # odd sides for n = 5, even for n = 6
+
+    def run():
+        m = matroid.incidence_matrix(k)
+        even = matroid.find_even_subset(m, m.facet_ids)
+        circlet = matroid.extract_circlet(m, even)
+        report = matroid.validate_decomposition(k, [m.facet_ids])
+        with pytest.raises(NotCirclet):
+            matroid.require_circlet(k)
+        return even, circlet, report
+
+    outside = run()
+    with tracer.Tracer() as t:
+        inside = run()
+    assert inside == outside
+    assert t.counts["matroid.find_even"] == t.counts["matroid.extract"] == 1

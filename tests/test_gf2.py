@@ -182,3 +182,7 @@ def test_drop_column_random_matrices():
             # the kept vectors span the remaining prefix columns
             rest = [cols[p] for p in prefix if not gone >> p & 1]
             assert dense_rank_gf2(rest + [v for v, _ in basis.values()]) == len(rest)
+
+
+def test_active_backend():
+    assert gf2.active_backend() == "python-int"
