@@ -8,15 +8,18 @@ Two writers produce that text. :func:`complex_json` and
 :func:`cover_json` write complex and cover documents straight from the
 cells, one template per cell; ``save_complex`` and the CLI's ``cover``
 and ``generate`` use them. :func:`dumps` writes every other document
-(reports, decompositions, tours, errors) from plain dicts and lists, and
-``dumps(complex_to_dict(k))`` and ``dumps(cover_to_dict(c))`` stay as
-the reference the emitters must equal byte for byte.
+(reports, decompositions, tours, errors) from plain dicts and lists: a
+list of like-keyed objects a column at a time, a lone object by plain
+recursion. ``dumps(complex_to_dict(k))`` and ``dumps(cover_to_dict(c))``
+stay as the reference the emitters must equal byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -58,11 +61,13 @@ def dumps(doc: Any) -> str:
 
     The text is exactly ``json.dumps(doc, indent=2) + "\\n"``. The stdlib
     encodes with its generator-based Python encoder whenever ``indent``
-    is set, so this writes the same text by plain recursion into one list
-    instead: every string goes through the C escaper, and a list of
-    strings, or a dict of strings, ints and lists of strings (the shapes
-    of cells and map entries), is joined in one piece. Floats, int
-    subclasses, non-string keys and anything else go to ``json.dumps``.
+    is set, so this writes the same text into one list instead, every
+    string through the C escaper. A list of strings is joined in one
+    piece; a list of objects with one key order whose columns are all
+    strings, all ints or all lists of strings (cells, map entries,
+    violations) is written a column at a time; a lone object goes by
+    plain recursion. Floats, int subclasses, non-string keys and anything
+    else go to ``json.dumps``.
     """
     out: list[str] = []
     _encode(doc, out, "\n")
@@ -84,30 +89,11 @@ def _encode(o: Any, out: list[str], nl: str) -> None:
     elif kind is int:  # int subclasses fall through to json.dumps
         out.append(int.__repr__(o))
     elif isinstance(o, dict) and o:
-        inner = nl + "  "
-        sep = "," + inner
-        parts = []
-        for key, value in o.items():
-            if type(key) is not str:
-                break
-            kind = type(value)
-            if kind is str:
-                text = _escape(value)
-            elif kind is int:
-                text = int.__repr__(value)
-            elif kind is list and all(map(_is_str, value)):
-                deeper = inner + "  "
-                items = ("," + deeper).join(map(_escape, value))
-                text = f"[{deeper}{items}{inner}]" if value else "[]"
-            else:
-                break
-            parts.append(f"{_escape(key)}: {text}")
-        else:
-            out.append(f"{{{inner}{sep.join(parts)}{nl}}}")
-            return
         if not all(map(_is_str, o)):
             out.append(json.dumps(o, indent=2).replace("\n", nl))
             return
+        inner = nl + "  "
+        sep = "," + inner
         lead = "{" + inner
         for key, value in o.items():
             out.append(f"{lead}{_escape(key)}: ")
@@ -120,6 +106,9 @@ def _encode(o: Any, out: list[str], nl: str) -> None:
         if all(map(_is_str, o)):
             out.append(f"[{inner}{sep.join(map(_escape, o))}{nl}]")
             return
+        if (text := _rows(o, nl)) is not None:
+            out.append(text)
+            return
         lead = "[" + inner
         for item in o:
             out.append(lead)
@@ -128,6 +117,39 @@ def _encode(o: Any, out: list[str], nl: str) -> None:
         out.append(nl + "]")
     else:  # floats, int and str subclasses, empty containers: one line
         out.append(json.dumps(o))
+
+
+def _rows(o: list | tuple, nl: str) -> str | None:
+    """The text of list o at ``nl``, written a column at a time, or None.
+
+    Every item must be a non-empty dict with the first item's str keys in
+    the same order, and each column all ``str``, all ``int`` or all lists
+    of strings: the shapes of cells, map entries and violations.
+    """
+    first = o[0]
+    if type(first) is not dict or not first or not all(map(_is_str, first)):
+        return None
+    keys = list(first)
+    if set(map(type, o)) != {dict} or not all(map(keys.__eq__, map(list, o))):
+        return None
+    i1, i2, i3 = (nl + "  " * n for n in range(1, 4))
+    join = ("," + i3).join
+    columns, head = [], "{" + i2
+    for key in keys:
+        col = list(map(itemgetter(key), o))
+        kinds = set(map(type, col))
+        if kinds == {str}:
+            texts = map(_escape, col)
+        elif kinds == {int}:
+            texts = map(int.__repr__, col)
+        elif kinds == {list} and all(map(_is_str, chain.from_iterable(col))):
+            texts = [f"[{i3}{join(map(_escape, v))}{i2}]" if v else "[]" for v in col]
+        else:
+            return None
+        columns.append(map(f"{head}{_escape(key)}: ".__add__, texts))
+        head = "," + i2
+    rows = f"{i1}}},{i1}".join(map("".join, zip(*columns)))
+    return f"[{i1}{rows}{i1}}}{nl}]"
 
 
 # ---- complexes --------------------------------------------------------

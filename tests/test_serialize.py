@@ -23,7 +23,12 @@ from circlet import (
 from circlet.complexes import Cell
 from circlet.covers import CoverMap
 from circlet.errors import ParseError
-from circlet.families import cycle, random_even, random_even_multigraph
+from circlet.families import (
+    cycle,
+    finned_circlet,
+    random_even,
+    random_even_multigraph,
+)
 
 
 # ---- complexes --------------------------------------------------------
@@ -102,10 +107,60 @@ class Tag(str):
         {"a": 1, "1": 2, 1: 3, None: 4, True: 5, 2.5: 6},
         [float("nan"), float("inf"), -0.0, 1e300],
         ["a", ("b", "c"), None, False, -(10**30)],
+        # lists of dicts that are not like-keyed rows
+        [{"a": True}, {"a": 1}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": []}, {"a": ["x"]}],
+        [{Tag("k"): Tag("v")}],
+        ({"a": "b"},),
+        [{}, {}],
+        [{"a": "b"}, "c"],
+        [{1: "a"}, {1: "a"}],
+        [{"a": 1}, 5],
+        [{"a": 1}, "a"],
     ],
 )
 def test_dumps_matches_the_stdlib_encoder_on_edge_shapes(doc):
     assert serialize.dumps(doc) == oracles.dumps_stdlib(doc)
+    assert serialize.dumps({"k": doc}) == oracles.dumps_stdlib({"k": doc})
+
+
+# a list of dicts with one key order (cells, map entries, violations) is
+# written a column at a time; DOCS seldom draws two dicts with equal keys
+COLUMNS = st.sampled_from([TEXT, st.integers(), st.lists(TEXT)])
+ODD_VALUES = st.sampled_from([True, Level.ONE, 1.5, None, {"n": [1]}, Tag("t")])
+
+
+@st.composite
+def row_lists(draw):
+    """1-6 like-keyed dicts, one of them sometimes made unlike the rest."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    kinds = [draw(COLUMNS) for _ in keys]
+    rows = [
+        {key: draw(kind) for key, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    i = draw(st.integers(0, len(rows) - 1))
+    key = draw(st.sampled_from(keys))
+    change = draw(st.sampled_from([None, None, "swap", "drop", "value", "row"]))
+    if change == "swap" and len(keys) > 1:
+        items = list(rows[i].items())
+        items[0], items[-1] = items[-1], items[0]
+        rows[i] = dict(items)
+    elif change == "drop":
+        del rows[i][key]
+    elif change == "value":
+        rows[i][key] = draw(ODD_VALUES)
+    elif change == "row":
+        rows[i] = draw(SCALARS | st.lists(TEXT))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=row_lists())
+def test_dumps_matches_the_stdlib_encoder_on_row_lists(rows):
+    assert serialize.dumps(rows) == oracles.dumps_stdlib(rows)
+    assert serialize.dumps({"k": rows}) == oracles.dumps_stdlib({"k": rows})
 
 
 def test_dumps_rejects_what_the_stdlib_rejects():
@@ -322,6 +377,26 @@ def test_emitters_match_the_reference(k, rng, rename, seed):
     cover = euler_cover(k, seed=seed)
     expected = serialize.dumps(serialize.cover_to_dict(cover))
     assert serialize.cover_json(cover) == expected
+
+
+@pytest.mark.parametrize(
+    "family, a, b",
+    [(random_even, 1, 80), (random_even, 7919, 80), (finned_circlet, 20, 8)],
+)
+def test_writers_agree_at_workload_size(family, a, b):
+    # the size of the benchmark's largest fold rung and circuit input
+    cover = euler_cover(family(a, b))
+    doc = serialize.cover_to_dict(cover)
+    assert serialize.dumps(doc) == serialize.cover_json(cover) == oracles.dumps_stdlib(doc)
+    # a tampered cover's violations are rows of a string, a list and a string
+    cell_map = dict(cover.cell_map)
+    f1, f2 = list(cover.source.facets)[:2]
+    cell_map[f1] = cell_map[f2]
+    report = serialize.report_to_dict(
+        verify_cover(CoverMap(cover.source, cover.target, cell_map))
+    )
+    assert len(report["violations"]) > 1
+    assert serialize.dumps(report) == oracles.dumps_stdlib(report)
 
 
 def test_emitters_on_a_point_and_an_empty_map():
