@@ -100,8 +100,10 @@ class Complex:
     ``_kept``; nothing else is kept.
 
     Construct through :func:`build_complex` (or directly, same thing).
-    :func:`circlet.covers.build_glued_complex` alone writes the tables
-    itself, from a complex already checked, and sets them with ``_fill``.
+    :func:`circlet.covers.build_glued_complex` (from a complex already
+    checked) and :func:`circlet.serialize.complex_from_dict` (on a
+    canonical document) write the tables themselves and set them with
+    ``_fill``.
     Cell ids are opaque strings; every tie anywhere in the library is
     broken by lexicographic id order, so all outputs are deterministic.
     """

@@ -12,6 +12,11 @@ and ``generate`` use them. :func:`dumps` writes every other document
 list of like-keyed objects a column at a time, a lone object by plain
 recursion. ``dumps(complex_to_dict(k))`` and ``dumps(cover_to_dict(c))``
 stay as the reference the emitters must equal byte for byte.
+
+:func:`complex_from_dict` reads a canonical document (cells in strict
+(dim, id) order from dimension 0) in one pass, building the tables as it
+checks each cell. Any other document takes the general path, where
+``Complex`` sorts and checks the cells and names every fault.
 """
 
 from __future__ import annotations
@@ -193,6 +198,8 @@ def complex_json(k: Complex) -> str:
 
 
 def complex_from_dict(doc: Any) -> Complex:
+    """Load a canonical document in one pass; any other document, and any
+    fault, takes the general path, which names the fault."""
     if not isinstance(doc, dict):
         raise ParseError("complex document must be a JSON object")
     try:
@@ -206,6 +213,8 @@ def complex_from_dict(doc: Any) -> Complex:
         or not isinstance(raw_cells, list)
     ):
         raise ParseError("bad types for 'dimension' or 'cells'")
+    if (k := _canonical_complex(raw_cells, dimension)) is not None:
+        return k
     cells = []
     append, is_str, new = cells.append, _is_str, tuple.__new__  # as in covers
     for entry in raw_cells:
@@ -236,6 +245,60 @@ def complex_from_dict(doc: Any) -> Complex:
             f"declared dimension {dimension} but cells reach {k.dim}"
         )
     return k
+
+
+_fields = itemgetter("id", "dim", "boundary")
+
+
+def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
+    """The complex of cells in strict (dim, id) order from dimension 0, or None.
+
+    One pass: each entry is type-checked, made a Cell, and made a coface of
+    its boundary ids, found among the previous dimension's ids alone. At
+    the first thing a canonical file cannot hold (another order, a subclass
+    of dict, str, int or list, any fault) it returns None.
+    """
+    if type(raw_cells) is not list:
+        return None
+    cells: dict[str, Cell] = {}
+    by_dim, ids = [], []  # ids per dimension, in order
+    levels, below = [], {}  # per dimension below this one: id -> cofaces
+    r, last, least, most = 0, "", 0, 0  # dim, id, boundary size bounds
+    new = tuple.__new__
+    try:
+        for entry in raw_cells:
+            if type(entry) is not dict:
+                return None
+            cid, dim, faces = _fields(entry)
+            if type(cid) is not str or type(dim) is not int or type(faces) is not list:
+                return None
+            if dim != r:
+                if dim != r + 1 or not ids:
+                    return None
+                by_dim.append(tuple(ids))
+                below = {b: [] for b in ids}  # cofaces, filled from this dimension
+                levels.append(below)
+                ids, r = [], dim
+                least, most = (2, 2) if dim == 1 else (1, len(below))
+            elif cid <= last and ids:
+                return None
+            last = cid
+            for b in faces:
+                if type(b) is not str:
+                    return None
+                below[b].append(cid)
+            boundary = frozenset(faces)
+            if not least <= len(boundary) == len(faces) <= most:
+                return None
+            ids.append(cid)
+            cells[cid] = new(Cell, (cid, dim, boundary))
+    except KeyError:  # a missing key, or a face not one dimension down
+        return None
+    by_dim.append(tuple(ids))
+    if not ids or len(by_dim) != dimension + 1 or len(cells) < sum(map(len, by_dim)):
+        return None  # empty, a declared dimension off, or an id seen twice
+    cofaces = {b: tuple(up) for level in levels for b, up in level.items() if up}
+    return Complex.__new__(Complex)._fill(cells, tuple(by_dim), cofaces)
 
 
 def save_complex(k: Complex, path: str | Path) -> None:

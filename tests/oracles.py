@@ -5,7 +5,8 @@ edge deletion, plain breadth-first search. Keep these independent of the
 algorithms under test; they may only read the data structures. The last
 sections keep algorithms the library replaced by direct forms, built
 from library primitives, as references for the replacements, and the
-stdlib encoder the canonical JSON emitter must match.
+stdlib encoder the canonical JSON emitter must match, and the loader's
+general path, which the one-pass load of canonical documents must match.
 """
 
 import json
@@ -13,6 +14,7 @@ from collections import deque
 from functools import reduce
 from itertools import chain, combinations
 from operator import xor
+from unittest import mock
 
 from circlet import (
     Cell,
@@ -35,6 +37,7 @@ from circlet import (
     require_circlet,
     strong_components,
 )
+from circlet import serialize
 from circlet.errors import GluingMismatch, ParseError
 
 
@@ -769,3 +772,35 @@ def first_dangling_cell(cells) -> str | None:
 def dumps_stdlib(doc) -> str:
     """The canonical text by definition: the stdlib encoder, indent 2."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ---- loading by the general path --------------------------------------
+
+
+def complex_by_general_path(doc) -> Complex:
+    """complex_from_dict with its one pass for canonical documents off:
+    every document is read entry by entry, then sorted and checked by
+    Complex, as any non-canonical document is."""
+    with mock.patch.object(serialize, "_canonical_complex", lambda *_: None):
+        return serialize.complex_from_dict(doc)
+
+
+def reads_in_one_pass(doc) -> bool:
+    """Whether complex_from_dict reads doc in its pass for canonical files."""
+    try:
+        return serialize._canonical_complex(doc["cells"], doc["dimension"]) is not None
+    except (KeyError, TypeError):  # not a dict, or no int dimension
+        return False
+
+
+def tables(k: Complex) -> tuple:
+    """A complex's dimension and its three tables, order included."""
+    return k.dim, list(k._cells.items()), k._by_dim, list(k._cofaces.items())
+
+
+def load_outcome(load, doc) -> tuple:
+    """The tables load(doc) builds, or the class and message it raises."""
+    try:
+        return tables(load(doc))
+    except Exception as exc:
+        return type(exc), str(exc)

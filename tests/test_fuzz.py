@@ -10,6 +10,9 @@ escaping from the library fails the test. Every mangled cover document
 that loads must also get the same report from verify_cover as from the
 corner-link reference in oracles.py, and every mangled cover whose
 gluing reads back must read back the same gluing once rebuilt from it.
+Every mangled complex, cover source and cover target must load to the
+same tables, or raise the same class and message, as through the
+loader's general path alone.
 """
 
 import copy
@@ -185,3 +188,23 @@ def test_mangled_covers_read_back_a_gluing_they_rebuild(tmp_path):
         rebuilt = build_glued_complex(cover.target, g)
         assert gluing_from_cover(rebuilt) == g, f"document {i}"
     assert read > DOCUMENTS // 10  # 185 of the 1500 read back
+
+
+def test_mangled_documents_load_as_the_general_path():
+    # complexes, and the source and target of covers, mangled: the loader
+    # must build the general path's tables or raise its class and message
+    rng = random.Random(20261020)
+    docs = bases()
+    one_pass = loaded = 0
+    for i in range(DOCUMENTS):
+        kind, doc = docs[i % len(docs)]
+        doc = mangle(doc, rng)
+        parts = [doc] if kind == "complex" else [doc.get("source"), doc.get("target")]
+        for part in parts:
+            want = oracles.load_outcome(oracles.complex_by_general_path, part)
+            got = oracles.load_outcome(serialize.complex_from_dict, part)
+            assert got == want, f"document {i} ({kind})"
+            loaded += isinstance(want[0], int)
+            one_pass += oracles.reads_in_one_pass(part)
+    # 539 parts load in one pass, 373 only by the general path
+    assert one_pass > DOCUMENTS // 10 and loaded - one_pass > DOCUMENTS // 10

@@ -9,7 +9,9 @@ and error documents are pinned as well; a chain of two finned circlets,
 where a seed changes each circlet's own pairing; and ``cw-moves``, a
 random mod-2 boundary after ``builders.cw_mutate`` (facets over one
 boundary, a digon pillow, a pentagon), where the seed changes the cover
-too. ``verify`` reads whatever
+too, with ``cw-moves-shuffled``, the same cells out of (dim, id) order
+with unsorted boundaries, which the loader reads by its general path and
+whose records must equal its canonical twin's. ``verify`` reads whatever
 ``cover`` wrote, and also runs alone on the tampered cover documents
 under ``tests/golden/covers/``. To re-record after a deliberate change of
 output:
@@ -33,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from circlet.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,6 +129,14 @@ def test_golden_outputs_do_not_depend_on_the_hash_seed():
         out, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
         assert json.loads(out) == expected
+
+
+def test_shuffled_input_reads_as_its_canonical_twin():
+    # the loader's general path must give every output its one pass gives
+    doc = json.loads((DOCUMENTS / "cw-moves-shuffled.json").read_text())
+    assert not oracles.reads_in_one_pass(doc)
+    manifest = json.loads(MANIFEST.read_text())
+    assert manifest["cw-moves-shuffled"] == manifest["cw-moves"]
 
 
 def test_golden_names_are_unique():

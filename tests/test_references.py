@@ -21,9 +21,13 @@ reference builds each corner's link multigraph, on covers, mutated cell
 maps, swapped ends and moved source edges. validate_regularity reads two
 levels of the boundary relation; the reference compares full closures,
 on the families and on complexes whose boundaries were mangled at
-random. Each pair must agree exactly.
+random. complex_from_dict reads a canonical document in one pass; the
+reference is its general path, which sorts and checks the cells after
+reading them, on every family, random and CW-moved complexes and their
+covers, and on the same documents shuffled. Each pair must agree exactly.
 """
 
+import json
 import random
 import re
 
@@ -47,6 +51,7 @@ from circlet import (
     extract_circlet,
     gluing_from_cover,
     incidence_matrix,
+    serialize,
     strong_components,
     validate_decomposition,
     validate_regularity,
@@ -64,6 +69,7 @@ from circlet.errors import (
 )
 from circlet.families import (
     crosspolytope_skeleton,
+    cycle,
     finned_circlet,
     hypercube_skeleton,
     random_even,
@@ -842,3 +848,77 @@ def test_moved_edge_fails_base_and_cellular(make, seed):
     assert report == oracles.verify_by_links(cover)
     rules = {v.rule for v in report.violations}
     assert {"d-base-skeleton", "f-cellular"} <= rules
+
+
+# ---- loading ----------------------------------------------------------
+
+
+def assert_loads_in_one_pass(k, rng):
+    """k's canonical document loads in one pass to the tables the general
+    path builds, in order; shuffled, it takes the general path to k."""
+    doc = json.loads(serialize.complex_json(k))
+    fast = serialize._canonical_complex(doc["cells"], doc["dimension"])
+    assert fast is not None  # canonical: the one pass took it
+    loaded = serialize.complex_from_dict(doc)
+    assert_constructor_tables(loaded)
+    want = oracles.tables(oracles.complex_by_general_path(doc))
+    assert oracles.tables(loaded) == oracles.tables(fast) == want
+    assert want == oracles.tables(k)
+    ids = [e["id"] for e in doc["cells"]]
+    rng.shuffle(doc["cells"])
+    for entry in doc["cells"]:
+        rng.shuffle(entry["boundary"])
+    if [e["id"] for e in doc["cells"]] != ids:
+        assert not oracles.reads_in_one_pass(doc)
+    shuffled = serialize.complex_from_dict(doc)
+    assert shuffled == k
+    assert_constructor_tables(shuffled)
+    assert oracles.tables(shuffled) == want
+
+
+def assert_covers_load_in_one_pass(k, rng):
+    """k and the source and target of its cover, each loaded both ways."""
+    assert_loads_in_one_pass(k, rng)
+    cover = euler_cover(k, seed=rng.choice(SEEDS))
+    loaded = serialize.cover_from_dict(json.loads(serialize.cover_json(cover)))
+    for m, back in ((cover.source, loaded.source), (cover.target, loaded.target)):
+        assert oracles.tables(back) == oracles.tables(m)
+        assert_loads_in_one_pass(m, rng)
+
+
+# every generate family, in dimensions 1 to 4
+FAMILY_CASES = {
+    "cycle7": lambda: cycle(7),
+    "grid3": lambda: triangular_grid(3),
+    "finned3_4": lambda: finned_circlet(3, 4),
+    "random_even1_4": lambda: random_even(1, 4),
+    **{f"delta6_{r}": lambda r=r: simplex_skeleton(6, r) for r in range(1, 5)},
+    **{f"cube4_{r}": lambda r=r: hypercube_skeleton(4, r) for r in range(1, 5)},
+    **{f"cross5_{r}": lambda r=r: crosspolytope_skeleton(5, r) for r in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_families_load_in_one_pass(case):
+    k = FAMILY_CASES[case]()
+    rng = random.Random(case)
+    assert_loads_in_one_pass(k, rng)
+    if degree_profile(k).is_even and len(strong_components(k)) == 1:
+        assert_covers_load_in_one_pass(k, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(1, 12), rng=st.randoms())
+def test_random_even_loads_in_one_pass(n, size, rng):
+    assert_covers_load_in_one_pass(random_even(n, size), rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), rng=st.randoms())
+def test_random_even_multigraph_loads_in_one_pass(n, rng):
+    assert_covers_load_in_one_pass(random_even_multigraph(n), rng)
+
+
+@pytest.mark.parametrize("v, d, p, seed", CW_DRAWS)
+def test_cw_mutations_load_in_one_pass(v, d, p, seed):
+    assert_covers_load_in_one_pass(cw_draw(v, d, p, seed), random.Random(seed))

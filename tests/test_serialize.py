@@ -22,7 +22,15 @@ from circlet import (
 )
 from circlet.complexes import Cell
 from circlet.covers import CoverMap
-from circlet.errors import ParseError
+from circlet.errors import (
+    BadDimension,
+    DanglingReference,
+    DuplicateCellId,
+    EmptyBoundary,
+    EmptyComplex,
+    NonRegularEdge,
+    ParseError,
+)
 from circlet.families import (
     cycle,
     finned_circlet,
@@ -273,6 +281,119 @@ def test_boolean_dimensions_rejected(tetra):
     doc["dimension"] = True
     with pytest.raises(ParseError):
         serialize.complex_from_dict(doc)
+
+
+# ---- the one pass for canonical documents ------------------------------
+
+
+class Entry(dict):
+    pass
+
+
+def entry(doc, cid):
+    return next(e for e in doc["cells"] if e["id"] == cid)
+
+
+def tag_ids(doc):
+    for e in doc["cells"]:
+        e["id"], e["boundary"] = Tag(e["id"]), [*map(Tag, e["boundary"])]
+
+
+def put(doc, new):
+    """Insert a cell entry where (dim, id) order puts it."""
+    at = sum((e["dim"], e["id"]) < (new["dim"], new["id"]) for e in doc["cells"])
+    doc["cells"].insert(at, new)
+
+
+def lift_faces(doc):
+    """Move the 2-cells to dimension 3, over the edges."""
+    for e in doc["cells"]:
+        if e["dim"] == 2:
+            e["dim"] = 3
+
+
+# edits of the tetrahedron's canonical document (ids "1", "1-2", "1-2-3"),
+# each either a fault or a subclass, with the class the general path raises
+HAND_MADE = {
+    "bool-dim": (lambda d: entry(d, "1-2").update(dim=True), ParseError),
+    "bool-dim-0": (lambda d: entry(d, "1").update(dim=False), ParseError),
+    "float-dim": (lambda d: entry(d, "1-2-3").update(dim=2.0), ParseError),
+    "dict-subclass-entry": (
+        lambda d: d["cells"].__setitem__(5, Entry(d["cells"][5])), None,
+    ),
+    "str-subclass-ids": (tag_ids, None),
+    "str-subclass-face": (
+        lambda d: entry(d, "1-2").update(boundary=["1", Tag("2")]), None,
+    ),
+    "repeated-boundary-id": (
+        lambda d: entry(d, "1-2-3")["boundary"].append("1-2"), ParseError,
+    ),
+    "dangling": (
+        lambda d: entry(d, "1-2").update(boundary=["1", "9"]), DanglingReference,
+    ),
+    "two-down": (
+        lambda d: entry(d, "1-2-3").update(boundary=["1", "1-3", "2-3"]), BadDimension,
+    ),
+    "same-dim": (lambda d: entry(d, "1-3").update(boundary=["1", "1-2"]), BadDimension),
+    "one-up": (lambda d: entry(d, "1-2").update(boundary=["1", "1-2-3"]), BadDimension),
+    "id-across-dims": (
+        lambda d: put(d, {"id": "1", "dim": 2, "boundary": ["1-2", "1-3", "2-3"]}),
+        DuplicateCellId,
+    ),
+    "id-across-dims-later": (
+        lambda d: put(d, {"id": "3-4", "dim": 2, "boundary": ["1-2", "1-3", "2-3"]}),
+        DuplicateCellId,
+    ),
+    "id-twice-in-a-dim": (
+        lambda d: put(d, {"id": "1-2", "dim": 1, "boundary": ["1", "2"]}),
+        DuplicateCellId,
+    ),
+    "3-endpoint-edge": (
+        lambda d: entry(d, "1-2").update(boundary=["1", "2", "3"]), NonRegularEdge,
+    ),
+    "1-endpoint-edge": (
+        lambda d: entry(d, "1-2").update(boundary=["1"]), NonRegularEdge,
+    ),
+    "empty-boundary": (lambda d: entry(d, "1-2-3").update(boundary=[]), EmptyBoundary),
+    "empty-edge": (lambda d: entry(d, "1-2").update(boundary=[]), EmptyBoundary),
+    "0-cell-boundary": (lambda d: entry(d, "2").update(boundary=["1"]), BadDimension),
+    "negative-dim": (
+        lambda d: put(d, {"id": "z", "dim": -1, "boundary": []}), BadDimension,
+    ),
+    "gap": (lift_faces, BadDimension),
+    "gap-declared": (
+        lambda d: lift_faces(d) or d.update(dimension=3), BadDimension,
+    ),
+    "no-vertices": (
+        lambda d: d.update(cells=[e for e in d["cells"] if e["dim"]]), DanglingReference,
+    ),
+    "dimension-over": (lambda d: d.update(dimension=3), ParseError),
+    "dimension-under": (lambda d: d.update(dimension=1), ParseError),
+    "empty-cells": (lambda d: d.update(cells=[]), EmptyComplex),
+    "empty-cells-dim-0": (lambda d: d.update(cells=[], dimension=0), EmptyComplex),
+    "unhashable-face": (
+        lambda d: entry(d, "1-2").update(boundary=["1", ["2"]]), ParseError,
+    ),
+    "int-face": (lambda d: entry(d, "1-2").update(boundary=["1", 2]), ParseError),
+    "no-boundary-key": (lambda d: entry(d, "1-2").pop("boundary"), ParseError),
+    "edges-swapped": (
+        lambda d: d["cells"].insert(4, d["cells"].pop(5)), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MADE))
+def test_loader_names_faults_as_the_general_path(tetra, case):
+    edit, error = HAND_MADE[case]
+    doc = serialize.complex_to_dict(tetra)
+    edit(doc)
+    assert not oracles.reads_in_one_pass(doc)
+    want = oracles.load_outcome(oracles.complex_by_general_path, doc)
+    assert oracles.load_outcome(serialize.complex_from_dict, doc) == want
+    if error is None:
+        assert want == oracles.tables(tetra)
+    else:
+        assert want[0] is error
 
 
 # ---- decompositions ---------------------------------------------------
