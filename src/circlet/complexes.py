@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -75,15 +76,16 @@ def _bad_boundary(c: Cell, table: Mapping[str, Cell]) -> None:
     """Raise for the smallest missing or wrong-dimension id on c's boundary.
 
     Sorted here, on the error path only, so the message does not depend on
-    the frozenset's hash order.
+    the frozenset's hash order. Read by position: cells may be plain tuples.
     """
-    for b in sorted(c.boundary):
+    cid, dim, boundary = c
+    for b in sorted(boundary):
         other = table.get(b)
         if other is None:
-            raise DanglingReference(f"cell {c.id!r} references missing cell {b!r}")
-        if other.dim != c.dim - 1:
+            raise DanglingReference(f"cell {cid!r} references missing cell {b!r}")
+        if other[1] != dim - 1:
             raise BadDimension(
-                f"cell {c.id!r} (dim {c.dim}) references {b!r} of dim {other.dim}"
+                f"cell {cid!r} (dim {dim}) references {b!r} of dim {other[1]}"
             )
 
 
@@ -99,7 +101,9 @@ class Complex:
     are kept once asked for, each by its producer under its own key of
     ``_kept``; nothing else is kept.
 
-    Construct through :func:`build_complex` (or directly, same thing).
+    ``build_complex`` is this class. The constructor sorts the cells by
+    (dim, id) and raises DuplicateCellId, DanglingReference, BadDimension,
+    NonRegularEdge, EmptyBoundary or EmptyComplex on malformed input.
     :func:`circlet.covers.build_glued_complex` (from a complex already
     checked) and :func:`circlet.serialize.complex_from_dict` (on a
     canonical document) write the tables themselves and set them with
@@ -111,14 +115,7 @@ class Complex:
     __slots__ = ("dim", "_cells", "_by_dim", "_cofaces", "_kept")
 
     def __init__(self, cells: Iterable[Cell]):
-        # (dim, id) order from one sort by id per dimension, not a tuple key;
-        # cells are read by position, which is faster than by field name
-        buckets: dict[int, list[Cell]] = {}
-        for c in cells:
-            buckets.setdefault(c[1], []).append(c)
-        by_id = itemgetter(0)
-        groups = [sorted(buckets[d], key=by_id) for d in sorted(buckets)]
-        ordered = [c for group in groups for c in group]
+        ordered = sorted(cells, key=itemgetter(1, 0))
         if not ordered:
             raise EmptyComplex("a complex needs at least one cell")
 
@@ -153,7 +150,8 @@ class Complex:
                     f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
                 )
         # boundaries are nonempty, one dim down: group r holds the r-cells
-        by_dim = tuple(tuple(c[0] for c in group) for group in groups)
+        groups = groupby(ordered, itemgetter(1))
+        by_dim = tuple(tuple(c[0] for c in group) for _, group in groups)
         self._fill(table, by_dim, {b: tuple(ids) for b, ids in up.items() if ids})
 
     def _fill(self, cells: dict, by_dim: tuple, cofaces: dict) -> Complex:
@@ -245,13 +243,7 @@ class Complex:
         return self._cofaces.get(side_id, ()) if c and c[1] == self.dim - 1 else ()
 
 
-def build_complex(cells: Iterable[Cell]) -> Complex:
-    """Validate raw cells and assemble an immutable complex.
-
-    Raises DuplicateCellId, DanglingReference, BadDimension,
-    NonRegularEdge, EmptyBoundary or EmptyComplex on malformed input.
-    """
-    return Complex(cells)
+build_complex = Complex
 
 
 # ---- regularity validation -------------------------------------------

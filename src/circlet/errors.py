@@ -43,7 +43,7 @@ class CircletError(Exception):
     """Base class for every error this library raises deliberately."""
 
 
-# build_complex rejects malformed cell data with these.
+# Complex (or build_complex, the same class) rejects malformed cells with these.
 
 class DanglingReference(CircletError):
     """A boundary id names a cell that does not exist."""

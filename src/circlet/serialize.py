@@ -15,8 +15,8 @@ stay as the reference the emitters must equal byte for byte.
 
 :func:`complex_from_dict` reads a canonical document (cells in strict
 (dim, id) order from dimension 0) in one pass, building the tables as it
-checks each cell. Any other document takes the general path, where
-``Complex`` sorts and checks the cells and names every fault.
+checks each cell. Any other document is checked entry by entry, and then
+``Complex`` sorts the cells by (dim, id) and checks them together.
 """
 
 from __future__ import annotations
@@ -198,8 +198,9 @@ def complex_json(k: Complex) -> str:
 
 
 def complex_from_dict(doc: Any) -> Complex:
-    """Load a canonical document in one pass; any other document, and any
-    fault, takes the general path, which names the fault."""
+    """Load a complex document: a canonical one in one pass, any other (or
+    any fault) entry by entry, where the first malformed entry in document
+    order raises ParseError before ``Complex`` checks the cells."""
     if not isinstance(doc, dict):
         raise ParseError("complex document must be a JSON object")
     try:
@@ -215,36 +216,37 @@ def complex_from_dict(doc: Any) -> Complex:
         raise ParseError("bad types for 'dimension' or 'cells'")
     if (k := _canonical_complex(raw_cells, dimension)) is not None:
         return k
-    cells = []
-    append, is_str, new = cells.append, _is_str, tuple.__new__  # as in covers
-    for entry in raw_cells:
-        if not isinstance(entry, dict):
-            raise ParseError("each cell must be a JSON object")
-        try:
-            cid, dim, boundary = entry["id"], entry["dim"], entry["boundary"]
-        except KeyError as exc:
-            raise ParseError(f"cell entry missing key {exc}") from exc
-        if (
-            not is_str(cid)
-            or not isinstance(dim, int)
-            or isinstance(dim, bool)
-            or not isinstance(boundary, list)
-            or not all(map(is_str, boundary))
-        ):
-            raise ParseError(f"bad cell entry for id {cid!r}")
-        faces = frozenset(boundary)
-        if len(faces) < len(boundary):  # over one face twice: not regular
-            twice = min(b for b, n in Counter(boundary).items() if n > 1)
-            raise ParseError(
-                f"cell {cid!r} lists {twice!r} more than once in its boundary"
-            )
-        append(new(Cell, (cid, dim, faces)))
-    k = build_complex(cells)
+    k = build_complex([_checked_cell(entry) for entry in raw_cells])
     if k.dim != dimension:
         raise ParseError(
             f"declared dimension {dimension} but cells reach {k.dim}"
         )
     return k
+
+
+def _checked_cell(entry: Any) -> Cell:
+    """The Cell of one document entry; ParseError names a malformed entry."""
+    if not isinstance(entry, dict):
+        raise ParseError("each cell must be a JSON object")
+    try:
+        cid, dim, boundary = entry["id"], entry["dim"], entry["boundary"]
+    except KeyError as exc:
+        raise ParseError(f"cell entry missing key {exc}") from exc
+    if (
+        not isinstance(cid, str)
+        or not isinstance(dim, int)
+        or isinstance(dim, bool)  # JSON true/false load as ints
+        or not isinstance(boundary, list)
+        or not all(isinstance(b, str) for b in boundary)
+    ):
+        raise ParseError(f"bad cell entry for id {cid!r}")
+    faces = frozenset(boundary)
+    if len(faces) < len(boundary):  # over one face twice: not regular
+        twice = min(b for b, n in Counter(boundary).items() if n > 1)
+        raise ParseError(
+            f"cell {cid!r} lists {twice!r} more than once in its boundary"
+        )
+    return Cell(cid, dim, faces)
 
 
 _fields = itemgetter("id", "dim", "boundary")
@@ -263,7 +265,7 @@ def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
     cells: dict[str, Cell] = {}
     by_dim, ids = [], []  # ids per dimension, in order
     levels, below = [], {}  # per dimension below this one: id -> cofaces
-    r, last, least, most = 0, "", 0, 0  # dim, id, boundary size bounds
+    r, last = 0, ""  # the dimension and id of the last entry
     new = tuple.__new__
     try:
         for entry in raw_cells:
@@ -279,7 +281,6 @@ def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
                 below = {b: [] for b in ids}  # cofaces, filled from this dimension
                 levels.append(below)
                 ids, r = [], dim
-                least, most = (2, 2) if dim == 1 else (1, len(below))
             elif cid <= last and ids:
                 return None
             last = cid
@@ -288,7 +289,11 @@ def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
                     return None
                 below[b].append(cid)
             boundary = frozenset(faces)
-            if not least <= len(boundary) == len(faces) <= most:
+            # each face was found one dimension down; left to check: no face
+            # twice, a face on every cell above dimension 0, 2 on an edge
+            if len(boundary) < len(faces) or dim and not faces:
+                return None
+            if dim == 1 and len(faces) != 2:
                 return None
             ids.append(cid)
             cells[cid] = new(Cell, (cid, dim, boundary))

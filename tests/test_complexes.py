@@ -103,6 +103,21 @@ def test_negative_dimension_rejected():
         build_complex([cell("a", -1)])
 
 
+def test_plain_tuples_are_checked_as_cells():
+    # the constructor reads cells by position, its error path too
+    a, b = ("a", 0, frozenset()), ("b", 0, frozenset())
+    edge = ("e", 1, frozenset({"a", "b"}))
+    assert len(Complex([a, b, edge])) == 3
+    with pytest.raises(DanglingReference, match="'e' references missing cell 'z'"):
+        Complex([a, ("e", 1, frozenset({"a", "z"}))])
+    with pytest.raises(BadDimension, match=r"'f' \(dim 2\) references 'a' of dim 0"):
+        Complex([a, b, edge, ("f", 2, frozenset({"a", "e"}))])
+
+
+def test_build_complex_is_the_class():
+    assert build_complex is Complex
+
+
 def test_complex_is_immutable(tetra):
     with pytest.raises(AttributeError):
         tetra.dim = 3

@@ -396,6 +396,45 @@ def test_loader_names_faults_as_the_general_path(tetra, case):
         assert want[0] is error
 
 
+# canonical tetrahedron edits with the class and message the loader must
+# raise: malformed entries are named in document order, before any fault
+# between cells
+PRECEDENCE = {
+    "dangling-then-bool-dim": (
+        [("1-2", {"boundary": ["1", "9"]}), ("1-2-3", {"dim": True})],
+        ParseError,
+        "bad cell entry for id '1-2-3'",
+    ),
+    "dangling-only": (
+        [("1-2", {"boundary": ["1", "9"]})],
+        DanglingReference,
+        "cell '1-2' references missing cell '9'",
+    ),
+    "two-malformed": (
+        [("1-3", {"boundary": ["1", 3]}), ("1-2-4", {"dim": True})],
+        ParseError,
+        "bad cell entry for id '1-3'",
+    ),
+    "repeat-then-bool-dim": (
+        [("1-2", {"boundary": ["1", "2", "1"]}), ("2-4", {"dim": False})],
+        ParseError,
+        "cell '1-2' lists '1' more than once in its boundary",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_loader_fault_precedence(tetra, case):
+    edits, error, message = PRECEDENCE[case]
+    doc = serialize.complex_to_dict(tetra)
+    for cid, fields in edits:
+        entry(doc, cid).update(fields)
+    with pytest.raises(error) as info:
+        serialize.complex_from_dict(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # ---- decompositions ---------------------------------------------------
 
 
