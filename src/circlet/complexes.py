@@ -72,23 +72,6 @@ def cell(id: str, dim: int, boundary: Iterable[str] = ()) -> Cell:
     return Cell(str(id), int(dim), frozenset(str(b) for b in boundary))
 
 
-def _bad_boundary(c: Cell, table: Mapping[str, Cell]) -> None:
-    """Raise for the smallest missing or wrong-dimension id on c's boundary.
-
-    Sorted here, on the error path only, so the message does not depend on
-    the frozenset's hash order. Read by position: cells may be plain tuples.
-    """
-    cid, dim, boundary = c
-    for b in sorted(boundary):
-        other = table.get(b)
-        if other is None:
-            raise DanglingReference(f"cell {cid!r} references missing cell {b!r}")
-        if other[1] != dim - 1:
-            raise BadDimension(
-                f"cell {cid!r} (dim {dim}) references {b!r} of dim {other[1]}"
-            )
-
-
 class Complex:
     """Immutable face poset with cached derived structure.
 
@@ -101,8 +84,10 @@ class Complex:
     are kept once asked for, each by its producer under its own key of
     ``_kept``; nothing else is kept.
 
-    ``build_complex`` is this class. The constructor sorts the cells by
-    (dim, id) and raises DuplicateCellId, DanglingReference, BadDimension,
+    ``build_complex`` is this class. The constructor stores each entry as
+    a ``Cell`` (``Cell._make`` of a plain tuple), sorts them by (dim, id)
+    and names the smallest face that is not an id one dimension down. It
+    raises DuplicateCellId, DanglingReference, BadDimension,
     NonRegularEdge, EmptyBoundary or EmptyComplex on malformed input.
     :func:`circlet.covers.build_glued_complex` (from a complex already
     checked) and :func:`circlet.serialize.complex_from_dict` (on a
@@ -118,6 +103,8 @@ class Complex:
         ordered = sorted(cells, key=itemgetter(1, 0))
         if not ordered:
             raise EmptyComplex("a complex needs at least one cell")
+        if set(map(type, ordered)) != {Cell}:  # plain tuples are stored as Cells
+            ordered = [c if type(c) is Cell else Cell._make(c) for c in ordered]
 
         table: dict[str, Cell] = {c[0]: c for c in ordered}
         if len(table) != len(ordered):
@@ -127,32 +114,41 @@ class Complex:
                     raise DuplicateCellId(f"cell id {cid!r} appears twice")
                 seen.add(cid)
 
-        # keys and lists both in (dim, id) order: reading the ids of one
-        # dimension in order reads the map in order too
-        up: dict[str, list[str]] = {cid: [] for cid in table}
-        for c in ordered:
-            cid, dim, boundary = c
-            if dim < 0:
-                raise BadDimension(f"cell {cid!r} has negative dimension")
-            if dim == 0:
-                if boundary:
-                    raise BadDimension(f"0-cell {cid!r} has a nonempty boundary")
-                continue
-            if not boundary:
-                raise EmptyBoundary(f"{dim}-cell {cid!r} has an empty boundary")
-            for b in boundary:
-                other = table.get(b)
-                if other is None or other[1] != dim - 1:
-                    _bad_boundary(c, table)
-                up[b].append(cid)
-            if dim == 1 and len(boundary) != 2:
-                raise NonRegularEdge(
-                    f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
-                )
-        # boundaries are nonempty, one dim down: group r holds the r-cells
-        groups = groupby(ordered, itemgetter(1))
-        by_dim = tuple(tuple(c[0] for c in group) for _, group in groups)
-        self._fill(table, by_dim, {b: tuple(ids) for b, ids in up.items() if ids})
+        groups = {r: list(group) for r, group in groupby(ordered, itemgetter(1))}
+        by_dim = {r: tuple(map(itemgetter(0), group)) for r, group in groups.items()}
+        cofaces: dict[str, tuple[str, ...]] = {}
+        for dim, group in groups.items():
+            # the faces allowed, to their cofaces: ids one dimension down
+            below: dict[str, list[str]] = {b: [] for b in by_dim.get(dim - 1, ())}
+            for cid, _, boundary in group:
+                if dim < 0:
+                    raise BadDimension(f"cell {cid!r} has negative dimension")
+                if dim == 0:
+                    if boundary:
+                        raise BadDimension(f"0-cell {cid!r} has a nonempty boundary")
+                    continue
+                if not boundary:
+                    raise EmptyBoundary(f"{dim}-cell {cid!r} has an empty boundary")
+                try:
+                    for b in boundary:
+                        below[b].append(cid)
+                except KeyError:
+                    # the smallest, so the message does not follow hash order
+                    b = min(b for b in boundary if b not in below)
+                    if b not in table:
+                        raise DanglingReference(
+                            f"cell {cid!r} references missing cell {b!r}"
+                        ) from None
+                    raise BadDimension(
+                        f"cell {cid!r} (dim {dim}) references {b!r} "
+                        f"of dim {table[b][1]}"
+                    ) from None
+                if dim == 1 and len(boundary) != 2:
+                    raise NonRegularEdge(
+                        f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
+                    )
+            cofaces.update((b, tuple(over)) for b, over in below.items() if over)
+        self._fill(table, tuple(by_dim.values()), cofaces)
 
     def _fill(self, cells: dict, by_dim: tuple, cofaces: dict) -> Complex:
         """Set every slot from finished (dim, id)-ordered tables; no checks."""

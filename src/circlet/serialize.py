@@ -361,7 +361,7 @@ def cover_json(cover: CoverMap) -> str:
 
 
 def cover_from_dict(doc: Any, base_dir: Path | None = None) -> CoverMap:
-    """Parse a cover; the target may be inline or a file reference."""
+    """Parse a cover; the target may be inline or name a regular file."""
     if not isinstance(doc, dict):
         raise ParseError("cover document must be a JSON object")
     for key in ("source", "target", "map"):
@@ -373,6 +373,8 @@ def cover_from_dict(doc: Any, base_dir: Path | None = None) -> CoverMap:
         ref = Path(target_doc)
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
+        if not ref.is_file():  # a FIFO or a device could block or never end
+            raise ParseError(f"cover target {ref} is not a regular file")
         target = load_complex(ref)
     else:
         target = complex_from_dict(target_doc)

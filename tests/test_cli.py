@@ -487,6 +487,29 @@ def test_hostile_file_is_a_parse_error(tmp_path, write):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+def test_cover_target_must_be_a_regular_file(tmp_path, kind):
+    # reading a FIFO blocks and a device like /dev/zero never ends, so the
+    # target is refused unopened; the timeout fails a hang instead of waiting
+    target = tmp_path / "fifo" if kind == "fifo" else Path(os.devnull)
+    if kind == "fifo":
+        os.mkfifo(target)
+    path = tmp_path / "cover.json"
+    source = serialize.complex_to_dict(simplex_skeleton(4, 2))
+    path.write_text(json.dumps({"source": source, "target": str(target), "map": []}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "circlet.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "ParseError",
+        "message": f"cover target {target} is not a regular file",
+    }
+
+
 # ---- error messages do not follow hash order ---------------------------
 
 

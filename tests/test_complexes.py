@@ -10,6 +10,7 @@ from circlet import (
     dual_multigraph,
     euler_characteristic,
     induced_subcomplex,
+    serialize,
     strong_components,
     validate_regularity,
 )
@@ -104,14 +105,58 @@ def test_negative_dimension_rejected():
 
 
 def test_plain_tuples_are_checked_as_cells():
-    # the constructor reads cells by position, its error path too
+    # plain tuples are stored as Cells, so the whole API answers
     a, b = ("a", 0, frozenset()), ("b", 0, frozenset())
     edge = ("e", 1, frozenset({"a", "b"}))
-    assert len(Complex([a, b, edge])) == 3
+    k = Complex([a, b, edge])
+    assert len(k) == 3
+    assert all(type(c) is Cell for c in k)
+    assert k.boundary("e") == frozenset({"a", "b"})
+    assert k.cell("e").id == "e"
+    assert serialize.complex_json(k) == serialize.dumps(serialize.complex_to_dict(k))
+    assert k == Complex([cell("a", 0), cell("b", 0), cell("e", 1, ["a", "b"])])
     with pytest.raises(DanglingReference, match="'e' references missing cell 'z'"):
         Complex([a, ("e", 1, frozenset({"a", "z"}))])
     with pytest.raises(BadDimension, match=r"'f' \(dim 2\) references 'a' of dim 0"):
         Complex([a, b, edge, ("f", 2, frozenset({"a", "e"}))])
+
+
+def test_cells_are_kept_as_given():
+    # a Cell is not copied, and a Cell whose boundary is a list is accepted
+    a, listed = cell("a", 0), Cell("e", 1, ["a", "b"])
+    k = Complex([a, cell("b", 0), listed])
+    assert k.cell("a") is a and k.cell("e") is listed
+    assert k.facets_over("a") == ("e",)
+
+
+@pytest.mark.parametrize(
+    "missing, error, message",
+    [
+        ("a", DanglingReference, "cell 't' references missing cell 'a'"),
+        ("x", BadDimension, "cell 't' (dim 2) references 'b' of dim 0"),
+    ],
+)
+def test_mixed_bad_faces_name_the_smallest(missing, error, message):
+    # 't' lies over a missing face and over 'b', two dimensions down
+    cells = [
+        cell("t", 2, ["e", "b", missing]),
+        cell("e", 1, ["b", "c"]),
+        cell("b", 0),
+        cell("c", 0),
+    ]
+    with pytest.raises(error) as info:
+        Complex(cells)
+    assert str(info.value) == message
+    doc = {
+        "dimension": 2,
+        "cells": [
+            {"id": c.id, "dim": c.dim, "boundary": sorted(c.boundary)} for c in cells
+        ],
+    }
+    assert not oracles.reads_in_one_pass(doc)
+    with pytest.raises(error) as info:
+        serialize.complex_from_dict(doc)
+    assert str(info.value) == message
 
 
 def test_build_complex_is_the_class():
