@@ -1,11 +1,16 @@
-"""Time every pipeline stage up two ladders, and pin the outputs.
+"""Time every pipeline stage up five ladders, and pin the outputs.
 
 Ladders: random_even(1, n) for n = 80 to 1280 circlets, and
 simplex_skeleton(v, 2) for v = 20, 30, 40, whose long independent
-prefixes keep the elimination basis large. Per rung, the best of N runs
-of decompose_into_circlets, euler_cover, serialize.cover_json (dump),
-serialize.load_cover of the written file (load) and verify_cover of the
-loaded cover; the last three are the CLI's `cover -o`, then `verify`.
+prefixes keep the elimination basis large. Then dimensions 3 to 5,
+where sides lie under many facets and circlets share many sides:
+simplex_skeleton(v, 3) for v = 11, 15, 19, hypercube_skeleton(d, 4) for
+d = 5, 7, 9 and hypercube_skeleton(d, 5) for d = 6, 8. Their sides have
+degree v - 3, d - 3 and d - 4, so every rung is even. Per rung, the
+best of N runs of decompose_into_circlets, euler_cover,
+serialize.cover_json (dump), serialize.load_cover of the written file
+(load) and verify_cover of the loaded cover; the last three are the
+CLI's `cover -o`, then `verify`.
 A complex keeps its decomposition once built, so each repeat
 decomposes and covers fresh copies, built outside the timing.
 Each rung shows sha256 prefixes of the decomposition's, the cover's and
@@ -27,7 +32,7 @@ from pathlib import Path
 
 from circlet import Complex, decompose_into_circlets, euler_cover, verify_cover
 from circlet import serialize
-from circlet.families import random_even, simplex_skeleton
+from circlet.families import hypercube_skeleton, random_even, simplex_skeleton
 
 PASSED = "0adf2161214843ba"  # a passing report has no violations
 LADDERS = (
@@ -47,6 +52,29 @@ LADDERS = (
             (20, "af98d9264d0e2022", "ebb429f4cf9fb9da"),
             (30, "64c9a7e5be9111a0", "0073ee07c642a1d3"),
             (40, "188e6ff5b9cc5579", "8d44c4cf6c193fa0"),
+        )
+    ],
+    [
+        (f"simplex_skeleton({v}, 3)", simplex_skeleton, (v, 3), parts, cover)
+        for v, parts, cover in (
+            (11, "2d5dd0a54a33e48d", "9b6bdfce9833eb56"),
+            (15, "00134a4dc97f0e40", "f62fbcbbd0bf7db8"),
+            (19, "4df3066927e00e8d", "0d2e793653ed0ef6"),
+        )
+    ],
+    [
+        (f"hypercube_skeleton({d}, 4)", hypercube_skeleton, (d, 4), parts, cover)
+        for d, parts, cover in (
+            (5, "1974646373ac2225", "496916551845f351"),
+            (7, "317943dcf021f629", "f7c766e51d63d4a0"),
+            (9, "4ddb67e5ac97278a", "62119fb9808f3a2a"),
+        )
+    ],
+    [
+        (f"hypercube_skeleton({d}, 5)", hypercube_skeleton, (d, 5), parts, cover)
+        for d, parts, cover in (
+            (6, "8d07488d5ea3abcf", "bff7d09b63edb6e6"),
+            (8, "4e595133ebee723d", "437035a52a0cc7ee"),
         )
     ],
 )

@@ -246,23 +246,10 @@ def gluing_from_cover(cover: CoverMap) -> _Gluing:
 # ---- merging covers ---------------------------------------------------
 
 
-def _merge_at(
-    pairs: dict[str, list[tuple[str, str]]],
-    piece: Mapping[str, Sequence[tuple[str, str]]],
-    side: str | None,
-) -> None:
-    """Append piece's pair lists to pairs', side by side, in place.
-
-    At ``side`` (skipped if None) the first pairs {sigma, tau} of pairs
-    and {mu, lambda} of piece first become {sigma, mu} and {tau, lambda}.
-    """
-    for s, p in piece.items():
-        mine = pairs.setdefault(s, [])
-        if s == side:
-            (sigma, tau), (mu, lam) = mine[0], p[0]
-            mine[0] = (min(sigma, mu), max(sigma, mu))
-            p = [(min(tau, lam), max(tau, lam)), *p[1:]]
-        mine += p
+def _repair(first: tuple[str, str], other: tuple[str, str]) -> tuple[tuple, tuple]:
+    """{sigma, tau} and {mu, lambda} re-paired as {sigma, mu}, {tau, lambda}."""
+    (sigma, tau), (mu, lam) = first, other
+    return (min(sigma, mu), max(sigma, mu)), (min(tau, lam), max(tau, lam))
 
 
 def merge_covers(
@@ -290,7 +277,12 @@ def merge_covers(
         merged_cells[c.id] = c
 
     pairs = {s: list(p) for s, p in gluing_from_cover(cover_l).items()}
-    _merge_at(pairs, gluing_from_cover(cover_c), side_id)
+    for s, p in gluing_from_cover(cover_c).items():
+        here = pairs.setdefault(s, [])
+        if s == side_id:
+            here[0], head = _repair(here[0], p[0])
+            p = (head, *p[1:])
+        here += p
     return build_glued_complex(build_complex(merged_cells.values()), pairs)
 
 
@@ -301,17 +293,20 @@ def euler_cover(k: Complex, *, seed: int | None = None) -> CoverMap:
     """A pseudomanifold cover of a strongly connected even complex.
 
     Decomposes into circlets and folds their gluings, read straight off
-    ``k``, in breadth-first order over the circlet adjacency graph (shared
-    sides), circlets taken in lexicographic order: each pairs its facets
-    per side as :func:`canonical_gluing` with the same seed would on it
-    alone, so a seed shuffles with a fresh RNG per circlet; the pair lists
-    are concatenated per side, and each circlet is re-paired with those
-    before it at the smallest side they share, with :func:`merge_covers`'
-    own step. One build of the folded gluing gives the merge chain's cover.
-    Connectivity is read off the fold: a dual component of an even set is
-    even, so each circlet is one, and the walk reaches them all exactly
-    when ``k`` is strongly connected. The parts are the peel's fundamental
-    circuits, circlets by construction, so none is checked again here.
+    ``k`` in one pass over the sides in id order: each circlet pairs its
+    facets per side as :func:`canonical_gluing` with the same seed would
+    on it alone, so a seed shuffles with a fresh RNG per circlet. A
+    breadth-first walk from the lexicographically first circlet crosses
+    each side shared by several circlets once and ranks them, neighbours
+    in lexicographic order. At a shared side their pair lists are
+    concatenated in rank order, and each circlet is re-paired with the
+    first pair there, by :func:`merge_covers`' own step, at the smallest
+    side it shares with one ranked before it. One build of the folded
+    gluing gives the merge chain's cover. Connectivity is read off the
+    walk: a dual component of an even set is even, so each circlet is
+    one, and the walk reaches them all exactly when ``k`` is strongly
+    connected. The parts are the peel's fundamental circuits, circlets by
+    construction, so none is checked again here.
     """
     profile = degree_profile(k)
     if not profile.is_pure:
@@ -321,26 +316,52 @@ def euler_cover(k: Complex, *, seed: int | None = None) -> CoverMap:
 
     # parts by rank, so the smallest index is the lexicographically first
     parts = sorted(decompose_into_circlets(k).parts)
-    part_of = {f: i for i, p in enumerate(parts) for f in p}
-    # breadth-first, the list its own queue: each circlet is folded in as
-    # it is dequeued, so one folded before it shares a side with it
-    pairs: dict[str, list[tuple[str, str]]] = {}
-    fold_order, seen = [0], {0}
-    for i in fold_order:
-        rng = None if seed is None else random.Random(seed)
-        over: dict[str, list[str]] = {}  # side -> the part's facets over it
-        for f in parts[i]:  # in id order, so each list is too
-            for s in k._cells[f][2]:
-                over.setdefault(s, []).append(f)
-        piece = {s: _pair_up(over[s], rng) for s in sorted(over)}
-        # a side already folded in was crossed then, its circlets all seen
-        fresh = (s for s in piece if s not in pairs)
-        near = {part_of[g] for s in fresh for g in k._cofaces[s]} - seen
-        _merge_at(pairs, piece, next((s for s in piece if s in pairs), None))
+    part_of = {f: i for i, p in enumerate(parts) for f in p}.__getitem__
+    rngs = [None if seed is None else random.Random(seed) for _ in parts]
+    pairs: dict[str, Sequence[tuple[str, str]]] = {}
+    shared: dict[str, dict[int, list[str]]] = {}  # circlet -> its facets there
+    sides_of: list[list[str]] = [[] for _ in parts]  # each one's shared sides
+    for s in k.sides:  # so each circlet's RNG meets its sides in id order
+        over = k._cofaces[s]  # in id order, as each circlet's facets are
+        if seed is None and len(over) == 2:  # circlets are even: one has both
+            pairs[s] = (over,)
+            continue
+        at = list(map(part_of, over))
+        if at.count(at[0]) == len(at):
+            pairs[s] = _pair_up(list(over), rngs[at[0]])
+            continue
+        groups = shared[s] = {}
+        for f, i in zip(over, at):
+            groups.setdefault(i, []).append(f)
+        for i, fs in groups.items():
+            sides_of[i].append(s)
+            if seed is not None:
+                rngs[i].shuffle(fs)
+    # breadth-first, the list its own queue: a side is crossed from the
+    # first of its circlets dequeued, which sees all of them
+    order, seen, crossed = [0], {0}, set()
+    for i in order:
+        fresh = [s for s in sides_of[i] if s not in crossed]
+        crossed.update(fresh)
+        near = {j for s in fresh for j in shared[s]} - seen
         seen |= near
-        fold_order += sorted(near)
-    if len(fold_order) < len(parts):
+        order += sorted(near)
+    if len(order) < len(parts):
         raise NotStronglyConnected("cover needs one dual component")
+    rank = {i: r for r, i in enumerate(order)}.__getitem__
+    joined = set()  # sides come in id order: each circlet joins at its smallest
+    for s, groups in shared.items():
+        flat: list[str] = []
+        heads = []  # the first pair of each circlet joining here
+        for i in sorted(groups, key=rank):
+            if flat and i not in joined:
+                joined.add(i)
+                heads.append(len(flat) // 2)
+            flat += groups[i]
+        # each circlet has an even number of facets here: no pair spans two
+        got = pairs[s] = _pair_up(flat, None)
+        for j in heads:
+            got[0], got[j] = _repair(got[0], got[j])
     return build_glued_complex(k, pairs)
 
 

@@ -429,18 +429,15 @@ def fold_by_merges(k: Complex, *, seed=None) -> CoverMap:
     return CoverMap(source=cover.source, target=k, cell_map=cover.cell_map)
 
 
-def fold_by_subcomplexes(k: Complex, *, seed=None) -> CoverMap:
-    """A cover folded from one induced subcomplex and gluing per circlet.
+def fold_plan(k: Complex) -> list[tuple[Complex, str | None]]:
+    """Each circlet as an induced subcomplex, in fold order, with its re-pair side.
 
-    Each circlet becomes its own complex, checked by require_circlet and
-    paired by canonical_gluing; circlets are folded in breadth-first order
-    over shared sides (neighbours in sorted-part order, from the smallest
-    part), pair lists concatenated per side, and each one re-paired with
-    those before it at the smallest side they share; one build at the end.
+    Circlets are folded in breadth-first order over shared sides
+    (neighbours in sorted-part order, from the smallest part); each one
+    after the first re-pairs at the smallest side it shares with those
+    before it, the first at None.
     """
     parts = [tuple(p) for p in decompose_into_circlets(k).parts]
-    if len(parts) == 1:
-        return cover_circlet(k, seed=seed)
     subs = [induced_subcomplex(k, p) for p in parts]
     side_sets = [set(sub.sides) for sub in subs]
     order = sorted(range(len(parts)), key=parts.__getitem__)
@@ -450,13 +447,30 @@ def fold_by_subcomplexes(k: Complex, *, seed=None) -> CoverMap:
             if j not in seen and side_sets[i] & side_sets[j]:
                 seen.add(j)
                 fold.append(j)
-    pairs: dict[str, list[tuple[str, str]]] = {}
+    plan, before = [], set()
     for i in fold:
-        require_circlet(subs[i])
-        g = canonical_gluing(subs[i], seed=seed)
+        plan.append((subs[i], min(side_sets[i] & before) if before else None))
+        before |= side_sets[i]
+    return plan
+
+
+def fold_by_subcomplexes(k: Complex, *, seed=None) -> CoverMap:
+    """A cover folded from one induced subcomplex and gluing per circlet.
+
+    Each circlet of :func:`fold_plan` is checked by require_circlet and
+    paired by canonical_gluing; pair lists are concatenated per side in
+    fold order, each circlet first re-paired with those before it at its
+    re-pair side; one build at the end.
+    """
+    plan = fold_plan(k)
+    if len(plan) == 1:
+        return cover_circlet(k, seed=seed)
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for sub, shared in plan:
+        require_circlet(sub)
+        g = canonical_gluing(sub, seed=seed)
         piece = {s: list(p) for s, p in g.items()}
-        if pairs:
-            shared = min(side_sets[i].intersection(pairs))
+        if shared is not None:
             (sigma, tau), (mu, lam) = pairs[shared][0], piece[shared][0]
             pairs[shared][0] = tuple(sorted((sigma, mu)))
             piece[shared][0] = tuple(sorted((tau, lam)))

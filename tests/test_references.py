@@ -30,6 +30,7 @@ covers, and on the same documents shuffled. Each pair must agree exactly.
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -475,6 +476,12 @@ FOLD_SIZE_CASES = {
     "delta8_3": lambda: simplex_skeleton(9, 3),
     "cube6_3": lambda: hypercube_skeleton(6, 3),
     "finned_chain8": lambda: builders.finned_chain(8),
+    # one circlet whose spine sides lie under 8 of its facets, as built
+    # and with its ids shuffled, so that id order is not build order
+    "finned20_8": lambda: finned_circlet(20, 8),
+    "finned20_8_renamed": lambda: awkwardly_renamed(
+        finned_circlet(20, 8), random.Random(20)
+    ),
 }
 
 
@@ -490,6 +497,33 @@ def test_fold_sizes_match_subcomplex_fold(case, seed):
 # mod-2 boundaries of random simplices: sides under up to 6 facets,
 # circlets that are not pseudomanifolds, and dimension 3
 BOUNDARY_DRAWS = [(7, 1, 0.3), (7, 2, 0.25), (8, 2, 0.15), (7, 3, 0.2), (9, 2, 0.05)]
+
+
+def fold_branches(k):
+    """Whether k's fold has a side under three or more circlets, a circlet
+    re-paired past its smallest shared side, and a side two re-pair at."""
+    plan = oracles.fold_plan(k)
+    under = Counter(s for sub, _ in plan for s in sub.sides)
+    at = Counter(side for _, side in plan if side is not None)
+    past = any(
+        side is not None and side > min(s for s in sub.sides if under[s] > 1)
+        for sub, side in plan
+    )
+    return max(under.values()) >= 3, past, max(at.values(), default=0) >= 2
+
+
+def test_fold_cases_reach_every_join_rule():
+    # euler_cover joins the circlets at a shared side in rank order, each
+    # at its re-pair side; these cases must keep every branch of that
+    ks = [make() for make in FOLD_SIZE_CASES.values()]
+    ks += [
+        k
+        for shape in BOUNDARY_DRAWS
+        for seed in range(6)
+        if (k := builders.random_boundary(seed, *shape)) is not None
+    ]
+    reached = [sum(got) for got in zip(*map(fold_branches, ks))]
+    assert all(reached), reached
 
 
 @pytest.mark.parametrize("v, d, p", BOUNDARY_DRAWS)
