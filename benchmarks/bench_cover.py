@@ -16,13 +16,19 @@ decomposes and covers fresh copies, built outside the timing.
 Each rung shows sha256 prefixes of the decomposition's, the cover's and
 the report's canonical JSON; each ladder ends with every stage's
 exponent, the least-squares slope of log time against log facet count.
+With its last rung's complex and loaded cover alive, each ladder also
+shows the time of one full gc.collect(), after an untimed one so that it
+reads what each later collection pays, and the number of GC-tracked
+objects, len(gc.get_objects()).
 Every repeat asserts that the report passes, that the loaded cover
-writes back the same text, and that the digests are the recorded ones.
+writes back the same text, and that the digests are the recorded ones;
+no time is asserted.
 
 Usage: python3 benchmarks/bench_cover.py [--repeat N]
 """
 
 import argparse
+import gc
 import hashlib
 import math
 import statistics
@@ -126,6 +132,12 @@ def main():
                 cols = "".join(f" {t * 1e3:>8.1f}ms" for t in times)
                 sums = "  ".join(digests)
                 print(f"{name:<24} {facets[-1]:>7} {len(got.parts):>8}{cols}  {sums}")
+            del got, cover  # k and its loaded cover stay alive
+            gc.collect()
+            t, _ = timed(gc.collect)
+            tracked = len(gc.get_objects())
+            print(f"{'gc, last rung alive':<41} collect {t * 1e3:.1f}ms, ", end="")
+            print(f"{tracked} objects tracked")
             fit = statistics.linear_regression
             x = list(map(math.log, facets))
             slopes = (fit(x, list(map(math.log, col))).slope for col in zip(*best))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 from typing import Any
@@ -198,20 +199,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only place errors become exit codes."""
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # for the run alone: the caller's setting is restored
     try:
-        value = args.load(args)
-    except CircletError as exc:
-        return _fail(exc, 2)
-    try:
-        text, summary, code = args.run(value, args)
-        _emit(text, getattr(args, "output", None))
-    except (ParseError, OutputError) as exc:  # ParseError: an id clash
-        return _fail(exc, 2)
-    except CircletError as exc:
-        return _fail(exc, 1)
-    _say(summary)
-    return code
+        args = build_parser().parse_args(argv)
+        try:
+            value = args.load(args)
+        except CircletError as exc:
+            return _fail(exc, 2)
+        try:
+            text, summary, code = args.run(value, args)
+            _emit(text, getattr(args, "output", None))
+        except (ParseError, OutputError) as exc:  # ParseError: an id clash
+            return _fail(exc, 2)
+        except CircletError as exc:
+            return _fail(exc, 1)
+        _say(summary)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Face-poset model of finite regular CW-complexes.
 
 A complex is stored through its covering relation: each cell lists the ids
-of the cells one dimension down on its boundary sphere. Construction builds
-three tables: the cells by id, the ids per dimension, and the coface map
-(the same relation read upward). Side degrees and the decomposition are
-computed on first request and kept, the rest on every request; a Complex
-never changes, so instances are safe to share and every query gives the
-same answer twice.
+of the cells one dimension down on its boundary sphere, as a tuple in
+increasing order: the cyclic GC untracks such a tuple, never a frozenset.
+Construction builds three tables: the cells by id, the ids per
+dimension, and the coface map (the same relation read upward). Side
+degrees and the decomposition are computed on first request and kept, the
+rest on every request; a Complex never changes, so instances are safe to
+share and every query gives the same answer twice.
 
 Vocabulary used throughout: with n the dimension of the complex, *facets*
 are the n-cells, *sides* the (n-1)-cells, *corners* the (n-2)-cells. The
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadDimension,
@@ -35,6 +36,7 @@ from .errors import (
     NonRegularEdge,
     NotAFacet,
     NotPure,
+    ParseError,
     ZeroDimensional,
 )
 
@@ -60,16 +62,26 @@ __all__ = [
 
 
 class Cell(NamedTuple):
-    """One cell: an id, a dimension, and the ids one dimension down."""
+    """One cell: an id, a dimension, and the ids one dimension down (in a
+    complex, a tuple in increasing order, which the cyclic GC untracks)."""
 
     id: str
     dim: int
-    boundary: frozenset[str]
+    boundary: tuple[str, ...]
 
 
 def cell(id: str, dim: int, boundary: Iterable[str] = ()) -> Cell:
-    """Terse Cell factory that accepts any iterable boundary."""
-    return Cell(str(id), int(dim), frozenset(str(b) for b in boundary))
+    """Terse Cell factory: any iterable boundary, deduplicated and sorted."""
+    return Cell(str(id), int(dim), tuple(sorted(set(map(str, boundary)))))
+
+
+def _sorted_faces(cid: str, boundary: Collection[str]) -> tuple[str, ...]:
+    """The boundary as a sorted tuple; ParseError if it lists a face twice."""
+    faces = tuple(sorted(set(boundary)))
+    if len(faces) < len(boundary):  # over one face twice: not regular
+        twice = min(b for b, n in Counter(boundary).items() if n > 1)
+        raise ParseError(f"cell {cid!r} lists {twice!r} more than once in its boundary")
+    return faces
 
 
 class Complex:
@@ -87,6 +99,8 @@ class Complex:
     ``build_complex`` is this class. The constructor stores each entry as
     a ``Cell`` (``Cell._make`` of a plain tuple), sorts them by (dim, id)
     and names the smallest face that is not an id one dimension down. It
+    keeps a ``Cell`` whose boundary is a strictly increasing tuple, sorts
+    any other boundary into one (ParseError if it lists a face twice), and
     raises DuplicateCellId, DanglingReference, BadDimension,
     NonRegularEdge, EmptyBoundary or EmptyComplex on malformed input.
     :func:`circlet.covers.build_glued_complex` (from a complex already
@@ -126,12 +140,15 @@ class Complex:
                 if dim == 0:
                     if boundary:
                         raise BadDimension(f"0-cell {cid!r} has a nonempty boundary")
-                    continue
-                if not boundary:
+                elif not boundary:
                     raise EmptyBoundary(f"{dim}-cell {cid!r} has an empty boundary")
+                ascending, last = type(boundary) is tuple, ""
                 try:
                     for b in boundary:
                         below[b].append(cid)
+                        if b <= last:
+                            ascending = False
+                        last = b
                 except KeyError:
                     # the smallest, so the message does not follow hash order
                     b = min(b for b in boundary if b not in below)
@@ -143,6 +160,8 @@ class Complex:
                         f"cell {cid!r} (dim {dim}) references {b!r} "
                         f"of dim {table[b][1]}"
                     ) from None
+                if not ascending:  # ParseError on a face listed twice
+                    table[cid] = Cell(cid, dim, _sorted_faces(cid, boundary))
                 if dim == 1 and len(boundary) != 2:
                     raise NonRegularEdge(
                         f"1-cell {cid!r} has {len(boundary)} endpoints, needs 2"
@@ -185,7 +204,7 @@ class Complex:
     def cell(self, cell_id: str) -> Cell:
         return self._cells[cell_id]
 
-    def boundary(self, cell_id: str) -> frozenset[str]:
+    def boundary(self, cell_id: str) -> tuple[str, ...]:
         return self._cells[cell_id].boundary
 
     def closure(self, cell_id: str) -> frozenset[str]:
@@ -304,7 +323,7 @@ def validate_regularity(k: Complex) -> ValidationReport:
                         )
                     )
 
-            seen = {min(faces)}
+            seen = {faces[0]}
             todo = list(seen)
             while todo:
                 for a in k.boundary(todo.pop()):

@@ -146,7 +146,7 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
     """
     if k.dim == 0:
         raise ZeroDimensional("cannot glue a 0-dimensional complex")
-    if set(g) != set(k.sides):
+    if len(g) != len(k.sides) or not all(map(g.__contains__, k.sides)):
         raise GluingMismatch("gluing sides differ from the complex's sides")
     n, k_cells, k_cofaces = k.dim, k._cells, k._cofaces
     low = len(k_cells) - len(k.sides) - len(k.facets)  # kept: k's first cells
@@ -165,8 +165,8 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
                 over_a[s] = over_b[s] = cid
                 copy = new(Cell, (cid, n - 1, k_cells[s][2]))
                 copies.append((cid, copy, (la, lb) if la < lb else (lb, la)))
-        # each lift gets one copy of each of its sides, and none twice
-        faulty = any(o.keys() != k_cells[f][2] for f, (_, o) in lifts.items())
+        # each lift gets one copy of each of its sides, in side order, none twice
+        faulty = any(tuple(o) != k_cells[f][2] for f, (_, o) in lifts.items())
         faulty |= 2 * len(copies) != sum(len(o) for _, o in lifts.values())
     except (KeyError, TypeError, ValueError):  # a non-facet, or not a pair
         faulty = True
@@ -174,7 +174,7 @@ def build_glued_complex(k: Complex, g: _Gluing) -> CoverMap:
         _name_gluing_fault(k, g)
     copies.sort(key=itemgetter(0))
     lift_cells = sorted(
-        (new(Cell, (fid, n, frozenset(o.values()))) for fid, o in lifts.values()),
+        (new(Cell, (fid, n, tuple(sorted(o.values())))) for fid, o in lifts.values()),
         key=itemgetter(0),
     )
     cell_map.update((fid, f) for f, (fid, _) in lifts.items())
@@ -452,7 +452,9 @@ def verify_cover(cover: CoverMap) -> ValidationReport:
             )
             structural_ok = False
             continue
-        if (boundary if dim < settled else set(map(image, boundary))) != tc[2]:
+        # a side's boundary is its own image; a facet's images form a set
+        got = boundary if dim < settled else set(map(image, boundary))
+        if got != (tc[2] if dim < settled else set(tc[2])):
             v.append(
                 Violation(
                     "f-cellular",

@@ -240,7 +240,7 @@ def _relabel(k: Complex, prefix: str, identify: dict[str, str]) -> list[Cell]:
         return identify.get(cid, f"{prefix}{cid}")
 
     return [
-        Cell(rename(c.id), c.dim, frozenset(rename(b) for b in c.boundary))
+        Cell(rename(c.id), c.dim, tuple(sorted(map(rename, c.boundary))))
         for c in k
     ]
 
@@ -267,8 +267,8 @@ def random_even(seed: int, size: int) -> Complex:
         piece = rng.choice(library)
         host_edge = rng.choice(edges)
         piece_edge = rng.choice(piece.sides)
-        hu, hv = sorted(current[host_edge].boundary)
-        pu, pv = sorted(piece.boundary(piece_edge))
+        hu, hv = current[host_edge].boundary
+        pu, pv = piece.boundary(piece_edge)
         identify = {piece_edge: host_edge, pu: hu, pv: hv}
         for c in _relabel(piece, f"g{step}.", identify):
             if c.id not in current:

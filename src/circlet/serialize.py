@@ -14,15 +14,14 @@ recursion. ``dumps(complex_to_dict(k))`` and ``dumps(cover_to_dict(c))``
 stay as the reference the emitters must equal byte for byte.
 
 :func:`complex_from_dict` reads a canonical document (cells in strict
-(dim, id) order from dimension 0) in one pass, building the tables as it
-checks each cell. Any other document is checked entry by entry, and then
+(dim, id) order from dimension 0, each boundary strictly increasing) in
+one pass, building the tables as it checks each cell. Any other document is checked entry by entry, and then
 ``Complex`` sorts the cells by (dim, id) and checks them together.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -33,6 +32,7 @@ from .complexes import (
     Complex,
     DualMultigraph,
     ValidationReport,
+    _sorted_faces,
     build_complex,
 )
 from .covers import CoverMap, SideTour
@@ -162,7 +162,7 @@ def _rows(o: list | tuple, nl: str) -> str | None:
 
 def complex_to_dict(k: Complex) -> dict[str, Any]:
     cells = [
-        {"id": c.id, "dim": c.dim, "boundary": sorted(c.boundary)}
+        {"id": c.id, "dim": c.dim, "boundary": list(c.boundary)}
         for c in k
     ]
     return {"dimension": k.dim, "cells": cells}
@@ -178,7 +178,7 @@ def _complex_text(k: Complex, nl: str) -> str:
     tail = f'{i3}]{i2}}}'
     esc, join = _escape, ("," + i4).join
     cells = [
-        f"{head}{esc(cid)}{dim}{r:d}{wide}{join(map(esc, sorted(boundary)))}{tail}"
+        f"{head}{esc(cid)}{dim}{r:d}{wide}{join(map(esc, boundary))}{tail}"
         if boundary
         else f"{head}{esc(cid)}{dim}{r:d}{leaf}"
         for cid, r, boundary in k
@@ -240,13 +240,7 @@ def _checked_cell(entry: Any) -> Cell:
         or not all(isinstance(b, str) for b in boundary)
     ):
         raise ParseError(f"bad cell entry for id {cid!r}")
-    faces = frozenset(boundary)
-    if len(faces) < len(boundary):  # over one face twice: not regular
-        twice = min(b for b, n in Counter(boundary).items() if n > 1)
-        raise ParseError(
-            f"cell {cid!r} lists {twice!r} more than once in its boundary"
-        )
-    return Cell(cid, dim, faces)
+    return Cell(cid, dim, _sorted_faces(cid, boundary))
 
 
 _fields = itemgetter("id", "dim", "boundary")
@@ -257,8 +251,8 @@ def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
 
     One pass: each entry is type-checked, made a Cell, and made a coface of
     its boundary ids, found among the previous dimension's ids alone. At
-    the first thing a canonical file cannot hold (another order, a subclass
-    of dict, str, int or list, any fault) it returns None.
+    the first thing a canonical file cannot hold (cells or faces out of
+    order, a subclass of dict, str, int or list, any fault) it returns None.
     """
     if type(raw_cells) is not list:
         return None
@@ -283,20 +277,18 @@ def _canonical_complex(raw_cells: Any, dimension: int) -> Complex | None:
                 ids, r = [], dim
             elif cid <= last and ids:
                 return None
-            last = cid
+            last, prev = cid, ""
             for b in faces:
-                if type(b) is not str:
+                if type(b) is not str or b <= prev:  # "" goes the general way
                     return None
                 below[b].append(cid)
-            boundary = frozenset(faces)
-            # each face was found one dimension down; left to check: no face
-            # twice, a face on every cell above dimension 0, 2 on an edge
-            if len(boundary) < len(faces) or dim and not faces:
-                return None
-            if dim == 1 and len(faces) != 2:
+                prev = b
+            # faces were found one dimension down in increasing order; left
+            # to check: a face on every cell above dimension 0, 2 on an edge
+            if dim and not faces or dim == 1 and len(faces) != 2:
                 return None
             ids.append(cid)
-            cells[cid] = new(Cell, (cid, dim, boundary))
+            cells[cid] = new(Cell, (cid, dim, tuple(faces)))
     except KeyError:  # a missing key, or a face not one dimension down
         return None
     by_dim.append(tuple(ids))

@@ -175,7 +175,7 @@ def cw_mutate(k, rng, moves=4):
             if joins:
                 s, f, g = rng.choice(joins)
                 x = next(fresh)
-                faces = cells.pop(f).boundary | cells.pop(g).boundary
+                faces = {*cells.pop(f).boundary, *cells.pop(g).boundary}
                 cells[x] = Cell(x, n, faces - {s})
                 del cells[s]
     return Complex(cells.values())

@@ -775,7 +775,7 @@ def first_dangling_cell(cells) -> str | None:
     whose boundary lists an id no cell has."""
     ids = {c.id for c in cells}
     for c in cells_by_dim_and_id(cells):
-        if not c.boundary <= ids:
+        if not ids.issuperset(c.boundary):
             return c.id
     return None
 

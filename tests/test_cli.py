@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -75,6 +76,33 @@ def test_analyze_points_is_analysis_failure(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "ZeroDimensional"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_gc_setting_as_it_found_it(
+    capsys, tmp_path, delta52_file, enabled
+):
+    # the run pauses cyclic GC; exit 0, 1, 2 and argparse's exit restore it
+    points = tmp_path / "pts.json"
+    serialize.save_complex(build_complex([cell("a", 0)]), points)
+    was = gc.isenabled()
+    try:
+        for argv, code in (
+            (["analyze", delta52_file], 0),
+            (["analyze", str(points)], 1),
+            (["analyze", str(tmp_path / "absent.json")], 2),
+            (["analyze", delta52_file, "--no-such-option"], None),
+        ):
+            gc.enable() if enabled else gc.disable()
+            if code is None:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
 
 
 # ---- validate ---------------------------------------------------------

@@ -26,6 +26,7 @@ from circlet.errors import (
     NonRegularEdge,
     NotAFacet,
     NotPure,
+    ParseError,
     ZeroDimensional,
 )
 from circlet.families import simplex_skeleton
@@ -111,7 +112,7 @@ def test_plain_tuples_are_checked_as_cells():
     k = Complex([a, b, edge])
     assert len(k) == 3
     assert all(type(c) is Cell for c in k)
-    assert k.boundary("e") == frozenset({"a", "b"})
+    assert k.boundary("e") == ("a", "b")
     assert k.cell("e").id == "e"
     assert serialize.complex_json(k) == serialize.dumps(serialize.complex_to_dict(k))
     assert k == Complex([cell("a", 0), cell("b", 0), cell("e", 1, ["a", "b"])])
@@ -122,11 +123,27 @@ def test_plain_tuples_are_checked_as_cells():
 
 
 def test_cells_are_kept_as_given():
-    # a Cell is not copied, and a Cell whose boundary is a list is accepted
-    a, listed = cell("a", 0), Cell("e", 1, ["a", "b"])
-    k = Complex([a, cell("b", 0), listed])
-    assert k.cell("a") is a and k.cell("e") is listed
-    assert k.facets_over("a") == ("e",)
+    # a Cell whose boundary is a sorted tuple is not copied; any other
+    # boundary is accepted and sorted into one
+    a, e, listed = cell("a", 0), cell("e", 1, "ab"), Cell("g", 1, ["b", "a"])
+    k = Complex([a, cell("b", 0), e, listed])
+    assert k.cell("a") is a and k.cell("e") is e
+    assert k.cell("g") == ("g", 1, ("a", "b"))
+    assert k.facets_over("a") == ("e", "g")
+
+
+def test_a_face_listed_twice_is_a_parse_error():
+    # a set would drop the repeat: a loop edge, or a face over two edges
+    # whose sides read degree 2, written to a file no loader takes back
+    a, b, e, g = cell("a", 0), cell("b", 0), cell("e", 1, "ab"), cell("g", 1, "ab")
+    with pytest.raises(ParseError) as info:
+        Complex([a, Cell("e", 1, ("a", "a"))])
+    assert str(info.value) == "cell 'e' lists 'a' more than once in its boundary"
+    with pytest.raises(ParseError) as info:
+        Complex([a, b, e, g, Cell("f", 2, ["e", "e", "g", "g"])])
+    assert str(info.value) == "cell 'f' lists 'e' more than once in its boundary"
+    # the factory still folds a repeat into one face
+    assert cell("e", 1, ["b", "a", "b"]).boundary == ("a", "b")
 
 
 @pytest.mark.parametrize(
@@ -182,10 +199,10 @@ def test_every_slot_is_set_by_construction(tetra, delta52):
 
 def test_cell_factory_coerces_types():
     c = cell("e", 1, ["b", "a"])
-    assert c.boundary == frozenset({"a", "b"})
+    assert c.boundary == ("a", "b")
     assert c.dim == 1
     n = cell(7, True, [2, 1])
-    assert n == Cell("7", 1, frozenset({"1", "2"}))
+    assert n == Cell("7", 1, ("1", "2"))
     assert type(n.id) is str and type(n.dim) is int
     assert all(type(b) is str for b in n.boundary)
 
@@ -196,11 +213,11 @@ def test_cell_is_a_frozen_hashable_named_tuple():
         c.id = "x"
     with pytest.raises(AttributeError):
         c.anything = 1
-    twin = Cell("e", 1, frozenset({"b", "a"}))
+    twin = Cell("e", 1, ("a", "b"))
     assert c == twin and hash(c) == hash(twin) and len({c, twin}) == 1
     assert c != cell("e", 1, ["a", "c"])
     # deliberate: a Cell is the tuple (id, dim, boundary)
-    assert c == ("e", 1, frozenset({"a", "b"}))
+    assert c == ("e", 1, ("a", "b"))
     cid, dim, boundary = c
     assert (cid, dim, boundary) == (c.id, c.dim, c.boundary)
     assert c._replace(id="f") == cell("f", 1, ["a", "b"])
@@ -481,5 +498,5 @@ def test_corner_link_rejects_non_corner(cube):
 def test_complex_repr_like_queries(delta52):
     c = delta52.cell("1-2-3")
     assert c.dim == 2
-    assert delta52.boundary("1-2-3") == frozenset({"1-2", "1-3", "2-3"})
+    assert delta52.boundary("1-2-3") == ("1-2", "1-3", "2-3")
     assert isinstance(delta52, Complex)

@@ -545,6 +545,34 @@ def test_verify_flags_swapped_facet_images(octahedron):
     assert "f-cellular" in {v.rule for v in report.violations}
 
 
+def test_verify_compares_facet_images_as_sets():
+    # each source facet has three sides over two target sides, two of them
+    # mapped to s1: its side images equal its target's boundary as a set,
+    # so rule (f) stays quiet while (g) and (h) report
+    cell = builders.cell
+    target = build_complex(
+        [cell("u", 0), cell("v", 0), cell("s1", 1, "uv"), cell("s2", 1, "uv")]
+        + [cell("F", 2, ["s1", "s2"]), cell("G", 2, ["s1", "s2"])]
+    )
+    source = build_complex(
+        [cell("u", 0), cell("v", 0)]
+        + [cell(x, 1, "uv") for x in "xyz"]
+        + [cell("F^", 2, "xyz"), cell("G^", 2, "xyz")]
+    )
+    cm = {"u": "u", "v": "v", "x": "s1", "y": "s1", "z": "s2", "F^": "F", "G^": "G"}
+    cover = CoverMap(source, target, cm)
+    report = verify_cover(cover)
+    assert report == oracles.verify_by_links(cover)
+    assert [(v.rule, v.cells) for v in report.violations] == [
+        ("g-preimage-count", ("s1",)),
+        ("h-corner-link", ("u", "F^")),
+        ("h-corner-link", ("u", "G^")),
+        ("h-corner-link", ("v", "F^")),
+        ("h-corner-link", ("v", "G^")),
+    ]
+    assert report.violations[0].message == "side 's1' of degree 2 has 2 preimages"
+
+
 def test_verify_flags_impure_source(octahedron):
     cover = cover_circlet(octahedron)
     extra = list(cover.source) + [builders.cell("stray", 0)]

@@ -97,7 +97,7 @@ def test_crosspolytope_skeleton():
 def test_subset_ids_where_string_and_numeric_order_differ():
     # ids list labels in label order ("1-2-10"), cells sort as strings
     simplex = simplex_skeleton(11, 2)
-    assert simplex.boundary("1-2-10") == {"1-2", "1-10", "2-10"}
+    assert simplex.boundary("1-2-10") == ("1-10", "1-2", "2-10")
     assert simplex.facets[:2] == ("1-10-11", "1-2-10")
     cross = crosspolytope_skeleton(10, 2)
     assert cross.facets[:2] == ("n1-n10-n2", "n1-n10-n3")

@@ -1,4 +1,5 @@
 import enum
+import gc
 import json
 import re
 
@@ -190,6 +191,53 @@ def test_file_round_trip(tmp_path, octahedron):
     serialize.save_complex(octahedron, path)
     assert path.read_text() == serialize.dumps(serialize.complex_to_dict(octahedron))
     assert serialize.load_complex(path) == octahedron
+
+
+def _flipped(k):
+    """k's document with every boundary list reversed."""
+    doc = serialize.complex_to_dict(k)
+    for c in doc["cells"]:
+        c["boundary"].reverse()
+    return doc
+
+
+def test_unsorted_boundaries_load_like_sorted_ones(tmp_path, octahedron):
+    # a boundary out of order leaves the one-pass loader for the general
+    # path, which sorts it: the same complex, written to the same text
+    def edge(boundary):
+        a, b = ({"id": v, "dim": 0, "boundary": []} for v in "ab")
+        e = {"id": "e", "dim": 1, "boundary": boundary}
+        return {"dimension": 1, "cells": [a, b, e]}
+
+    path = tmp_path / "k.json"
+    for unsorted, k in (
+        (edge(["b", "a"]), serialize.complex_from_dict(edge(["a", "b"]))),
+        (_flipped(octahedron), octahedron),
+    ):
+        path.write_text(json.dumps(unsorted))
+        loaded = serialize.load_complex(path)
+        assert loaded == k
+        assert serialize.complex_json(loaded) == serialize.complex_json(k)
+
+
+def test_boundaries_leave_the_cyclic_gc(tmp_path):
+    # a tuple of str is untracked at the first collection it survives; a
+    # frozenset never is, so every cell would stay two tracked objects
+    k = random_even(1, 6)
+    canonical, flipped = tmp_path / "k.json", tmp_path / "flipped.json"
+    serialize.save_complex(k, canonical)
+    flipped.write_text(json.dumps(_flipped(k)))
+    complexes = [
+        build_complex([(c.id, c.dim, set(c.boundary)) for c in k]),
+        build_complex([cell(c.id, c.dim, c.boundary) for c in k]),
+        serialize.load_complex(canonical),  # the one-pass loader
+        serialize.load_complex(flipped),  # the general path
+        euler_cover(k).source,
+    ]
+    assert complexes[:4] == [k] * 4
+    gc.collect()
+    for m in complexes:
+        assert not any(gc.is_tracked(c.boundary) for c in m)
 
 
 def test_parse_errors(tmp_path):
