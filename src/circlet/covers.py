@@ -551,6 +551,8 @@ def side_tour(m: Complex) -> SideTour:
     sides. Then the dual multigraph (facets as vertices, one edge per
     side) is connected with even degrees, so it carries a closed walk
     using every edge once; that walk read off by edge labels is the tour.
+    The walk reads the coface table: a facet's edges are the sides on its
+    boundary, in id order, and each leads to the other facet over it.
     The returned rotation and direction are canonical, so the tour is
     deterministic.
     """
@@ -563,37 +565,34 @@ def side_tour(m: Complex) -> SideTour:
     if len(strong_components(m)) != 1:
         raise NotPseudomanifold("dual multigraph is disconnected")
 
-    sides = m.sides
-    paired: set[tuple[str, str]] = set()
-    adj: dict[str, list[tuple[int, str]]] = {f: [] for f in m.facets}
-    for i, s in enumerate(sides):
-        a, b = m.facets_over(s)
-        if (a, b) in paired:
+    cells, cofaces = m._cells, m._cofaces
+    paired: set[tuple[str, ...]] = set()
+    for s in m.sides:
+        if cofaces[s] in paired:
+            a, b = cofaces[s]
             raise DualNotSimple(f"facets {a!r}, {b!r} share several sides")
-        paired.add((a, b))
-        adj[a].append((i, b))
-        adj[b].append((i, a))
+        paired.add(cofaces[s])
     for f in m.facets:
-        if len(m.boundary(f)) % 2 != 0:
-            raise OddFacet(f"facet {f!r} has {len(m.boundary(f))} sides")
+        if len(cells[f][2]) % 2 != 0:
+            raise OddFacet(f"facet {f!r} has {len(cells[f][2])} sides")
 
-    # Hierholzer's walk; one iterator per facet resumes past used edges
-    walks = {f: iter(edges) for f, edges in adj.items()}
-    used = [False] * len(sides)
-    stack: list[tuple[str, int]] = [(m.facets[0], -1)]
-    out: list[int] = []
+    # Hierholzer's walk; one iterator per facet resumes past used sides
+    walks = {f: iter(cells[f][2]) for f in m.facets}
+    used: set[str] = set()
+    stack: list[tuple[str, str | None]] = [(m.facets[0], None)]
+    seq: list[str] = []  # last side first: the canonical form picks a direction
     while stack:
         vertex, via = stack[-1]
-        for ei, w in walks[vertex]:
-            if not used[ei]:
-                used[ei] = True
-                stack.append((w, ei))
+        for s in walks[vertex]:
+            if s not in used:
+                used.add(s)
+                a, b = cofaces[s]
+                stack.append((b if a == vertex else a, s))
                 break
         else:
             stack.pop()
-            if via >= 0:
-                out.append(via)
-    seq = [sides[i] for i in reversed(out)]
+            if via is not None:
+                seq.append(via)
 
     # canonical form: rotate the smallest side to the front, then pick
     # the smaller of the two directions

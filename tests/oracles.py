@@ -22,6 +22,7 @@ from circlet import (
     CoverMap,
     DualEdge,
     DualMultigraph,
+    SideTour,
     ValidationReport,
     Violation,
     build_glued_complex,
@@ -29,6 +30,7 @@ from circlet import (
     corner_link,
     cover_circlet,
     decompose_into_circlets,
+    degree_profile,
     find_even_subset,
     gf2,
     incidence_matrix,
@@ -38,7 +40,13 @@ from circlet import (
     strong_components,
 )
 from circlet import serialize
-from circlet.errors import GluingMismatch, ParseError
+from circlet.errors import (
+    DualNotSimple,
+    GluingMismatch,
+    NotPseudomanifold,
+    OddFacet,
+    ParseError,
+)
 
 
 # ---- GF(2) parity by exhaustive enumeration ---------------------------
@@ -750,6 +758,63 @@ def verify_by_links(cover: CoverMap) -> ValidationReport:
                         )
                     )
     return ValidationReport.from_violations(v)
+
+
+# ---- side tours ------------------------------------------------------
+
+
+def side_tour_by_dual(m: Complex) -> SideTour:
+    """side_tour as it was before it read the coface table: the checks,
+    in the same order and with the same messages, then Hierholzer's walk
+    on its own copy of the dual, an adjacency list of (side index, facet)
+    per facet, with the walk's side indices mapped back to ids."""
+    profile = degree_profile(m)
+    if not profile.is_pure:
+        raise NotPseudomanifold("not pure")
+    bad = sorted(s for s, d in profile.degrees.items() if d != 2)
+    if bad:
+        raise NotPseudomanifold(f"side degrees not all 2, e.g. {bad[0]!r}")
+    if len(strong_components(m)) != 1:
+        raise NotPseudomanifold("dual multigraph is disconnected")
+
+    sides = m.sides
+    paired: set[tuple[str, str]] = set()
+    adj: dict[str, list[tuple[int, str]]] = {f: [] for f in m.facets}
+    for i, s in enumerate(sides):
+        a, b = m.facets_over(s)
+        if (a, b) in paired:
+            raise DualNotSimple(f"facets {a!r}, {b!r} share several sides")
+        paired.add((a, b))
+        adj[a].append((i, b))
+        adj[b].append((i, a))
+    for f in m.facets:
+        if len(m.boundary(f)) % 2 != 0:
+            raise OddFacet(f"facet {f!r} has {len(m.boundary(f))} sides")
+
+    # Hierholzer's walk; one iterator per facet resumes past used edges
+    walks = {f: iter(edges) for f, edges in adj.items()}
+    used = [False] * len(sides)
+    stack: list[tuple[str, int]] = [(m.facets[0], -1)]
+    out: list[int] = []
+    while stack:
+        vertex, via = stack[-1]
+        for ei, w in walks[vertex]:
+            if not used[ei]:
+                used[ei] = True
+                stack.append((w, ei))
+                break
+        else:
+            stack.pop()
+            if via >= 0:
+                out.append(via)
+    seq = [sides[i] for i in reversed(out)]
+
+    # canonical form: rotate the smallest side to the front, then pick
+    # the smaller of the two directions
+    pivot = seq.index(min(seq))
+    forward = seq[pivot:] + seq[:pivot]
+    backward = [forward[0]] + forward[1:][::-1]
+    return SideTour(sides=tuple(min(forward, backward)))
 
 
 # ---- construction order ----------------------------------------------

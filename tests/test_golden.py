@@ -48,6 +48,8 @@ INPUTS = {
     "simplex_skeleton-5-2": ["simplex_skeleton", "5", "2"],
     "simplex_skeleton-5-3": ["simplex_skeleton", "5", "3"],
     "hypercube_skeleton-3-2": ["hypercube_skeleton", "3", "2"],
+    "hypercube_skeleton-5-4": ["hypercube_skeleton", "5", "4"],
+    "hypercube_skeleton-6-5": ["hypercube_skeleton", "6", "5"],
     "crosspolytope_skeleton-3-2": ["crosspolytope_skeleton", "3", "2"],
     "cycle-6": ["cycle", "6"],
     "triangular_grid-3": ["triangular_grid", "3"],

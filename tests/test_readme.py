@@ -1,11 +1,14 @@
-"""README's Python examples run and print what the README says they print."""
+"""README's examples run and print what the README says they print."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
 
 from circlet import Complex
+from circlet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +62,29 @@ def test_triangle_example_builds_the_triangle():
         ("ab", "bc", "ca"),
         ("f",),
     ]
+
+
+def shell_session():
+    """README's circlet commands: argv, trailing comment, comment lines under."""
+    blocks = re.findall(r"```sh\n(circlet .*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    commands = []
+    for line in blocks[0].splitlines():
+        if line.startswith("circlet "):
+            command, _, comment = line.partition(" # ")
+            commands.append((shlex.split(command)[1:], comment.strip(), []))
+        elif line.startswith("#"):
+            commands[-1][2].append(line[1:])
+    return commands
+
+
+def test_shell_session_prints_what_the_readme_says(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the session writes k.json, cover.json, cube.json
+    session = shell_session()
+    assert [argv[0] for argv, _, under in session if under] == ["analyze"]
+    for argv, comment, under in session:
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == comment + "\n", argv
+        if under:
+            assert json.loads("".join(under)) == json.loads(out)

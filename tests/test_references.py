@@ -24,13 +24,18 @@ on the families and on complexes whose boundaries were mangled at
 random. complex_from_dict reads a canonical document in one pass; the
 reference is its general path, which sorts and checks the cells after
 reading them, on every family, random and CW-moved complexes and their
-covers, and on the same documents shuffled. Each pair must agree exactly.
+covers, and on the same documents shuffled. side_tour walks the coface
+table; the reference walks its own adjacency lists of the dual, on cover
+sources of random draws, the skeleton, finned and CW-moved cases and
+their covers, glued non-circlets and the golden inputs. Each pair must
+agree exactly.
 """
 
 import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +58,7 @@ from circlet import (
     gluing_from_cover,
     incidence_matrix,
     serialize,
+    side_tour,
     strong_components,
     validate_decomposition,
     validate_regularity,
@@ -62,9 +68,12 @@ from circlet.errors import (
     BadParameters,
     CircletError,
     DanglingReference,
+    DualNotSimple,
     DuplicateCellId,
+    NotPseudomanifold,
     NotPure,
     NotStronglyConnected,
+    OddFacet,
     ParseError,
     ZeroDimensional,
 )
@@ -882,6 +891,60 @@ def test_moved_edge_fails_base_and_cellular(make, seed):
     assert report == oracles.verify_by_links(cover)
     rules = {v.rule for v in report.violations}
     assert {"d-base-skeleton", "f-cellular"} <= rules
+
+
+# ---- side tours --------------------------------------------------------
+
+
+def tour_outcome(tour, m):
+    """The sides tour(m) visits in order, or the class and message it raises."""
+    try:
+        return tour(m).sides
+    except CircletError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2], ids=SEED_IDS[:2])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), size=st.integers(1, 12))
+def test_random_cover_tours_match_dual(seed, n, size):
+    for k in (random_even(n, size), random_even_multigraph(n)):
+        m = euler_cover(k, seed=seed).source
+        assert tour_outcome(side_tour, m) == tour_outcome(oracles.side_tour_by_dual, m)
+
+
+def tour_cases():
+    """Complexes to tour, by name: the skeleton, finned and CW-moved cases
+    with their cover sources at seeds None and 3, glued non-circlets,
+    whose sources are disconnected, and every golden input that loads."""
+    ks = {name: make() for name, make in VERIFY_CASES.items()}
+    ks.update((f"cw{i}", cw_draw(*draw)) for i, draw in enumerate(CW_DRAWS))
+    cases = {}
+    for name, k in ks.items():
+        cases[name] = k
+        for seed in SEEDS[:2]:
+            cases[f"{name}-cover-{seed}"] = euler_cover(k, seed=seed).source
+    for seed in range(4):
+        k = random_even(seed, 2)
+        cases[f"glued{seed}"] = build_glued_complex(k, canonical_gluing(k)).source
+    for path in sorted((Path(__file__).parent / "golden" / "inputs").glob("*.json")):
+        try:
+            cases[path.stem] = serialize.load_complex(path)
+        except CircletError:
+            continue
+    return cases
+
+
+def test_tours_match_dual():
+    reached = set()
+    for name, m in tour_cases().items():
+        got = tour_outcome(side_tour, m)
+        assert got == tour_outcome(oracles.side_tour_by_dual, m), name
+        if got == (NotPseudomanifold, "dual multigraph is disconnected"):
+            reached.add("disconnected")
+        else:
+            reached.add(got[0] if isinstance(got[0], type) else "tour")
+    assert reached >= {"tour", OddFacet, DualNotSimple, "disconnected"}, reached
 
 
 # ---- loading ----------------------------------------------------------
